@@ -1,10 +1,13 @@
 """Command-line behaviour: exit codes, formats, stable machine output."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from itmflow.cli import _increase_percent, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -206,3 +209,16 @@ class TestOutputFile:
         capsys.readouterr()
         assert code == code2 == 0
         assert path.read_bytes().decode() == out
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("subcommand", ["sakiadis", "blasius", "scan", "compare"])
+def test_default_output_matches_golden(capsys, subcommand, fmt):
+    """Default stdout of every subcommand and format, frozen byte for byte.
+
+    Unlike the rerun check in the acceptance suite, this catches a change of
+    output across versions of the code (e.g. a kernel rewrite).
+    """
+    code, out, _ = run_cli(capsys, subcommand, "--format", fmt)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"{subcommand}.{fmt}").read_bytes()
