@@ -10,11 +10,10 @@ iteration.  Scanning Gamma over a grid doubles as a numerical
 existence/uniqueness probe.
 """
 
-from .backend import BACKEND, USE_NUMBA
 from .models import (AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, augmented_ic,
                      augmented_rhs, blasius_rhs, blasius_star_ic,
                      sakiadis_rhs, sakiadis_star_ic)
-from .ode import (BlowUpError, IntegrationError, IvpSpec, OdeSystem,
+from .ode import (BACKEND, BlowUpError, IntegrationError, IvpSpec, OdeSystem,
                   StepControl, StepLimitError, StepUnderflowError, Trajectory,
                   integrate_adaptive, integrate_fixed, rk4_step, state_at)
 from .scan import (ScanFailedError, ScanGrid, ScanReport, ScanSample,
@@ -32,7 +31,7 @@ from .transform import (BlasiusGroup, DegenerateFarFieldError, ExtendedGroup,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "USE_NUMBA", "__version__",
+    "BACKEND", "__version__",
     # ode
     "OdeSystem", "IvpSpec", "StepControl", "Trajectory",
     "IntegrationError", "BlowUpError", "StepUnderflowError", "StepLimitError",

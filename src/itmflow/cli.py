@@ -11,8 +11,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .backend import BACKEND
-from .ode import IntegrationError, StepControl
+from .ode import BACKEND, IntegrationError, StepControl
 from .scan import ScanFailedError, ScanGrid, export_scan, scan
 from .solver import (ItmConfig, RootFinderBreakdownError, TopferAgreementError,
                      solve_blasius_topfer, solve_sakiadis)

@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from .backend import jit
 from .ode import OdeSystem
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
 VALID_SIGNS = (1, -1)
 
 
-@jit
 def _similarity_rhs(eta, y):
     out = np.empty(3)
     out[0] = y[1]
@@ -32,7 +30,6 @@ def _similarity_rhs(eta, y):
     return out
 
 
-@jit
 def _augmented_rhs(eta, y):
     out = np.empty(6)
     out[0] = y[1]

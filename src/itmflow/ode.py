@@ -5,21 +5,23 @@ step checked against two half steps, Richardson-extrapolated acceptance),
 plus cubic-Hermite dense output over the accepted samples.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import _drivers
-from .backend import is_compiled
-
 __all__ = [
-    "OdeSystem", "IvpSpec", "StepControl", "Trajectory",
+    "BACKEND", "OdeSystem", "IvpSpec", "StepControl", "Trajectory",
     "IntegrationError", "BlowUpError", "StepUnderflowError", "StepLimitError",
     "default_max_steps", "rk4_step", "integrate_fixed", "integrate_adaptive",
     "state_at",
 ]
+
+# The one integration kernel: interpreted Python stepping over numpy vectors.
+# Reported in run metadata (``--verbose``); not a setting.
+BACKEND = "numpy"
 
 
 class IntegrationError(RuntimeError):
@@ -84,6 +86,8 @@ class IvpSpec:
     def __post_init__(self):
         state = np.asarray(self.initial_state, dtype=float)
         object.__setattr__(self, "initial_state", state)
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValueError("start and end must be finite")
         if not self.end > self.start:
             raise ValueError(f"end ({self.end}) must exceed start ({self.start})")
         if state.shape != (self.system.dim,):
@@ -113,15 +117,16 @@ class StepControl:
 
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol", "initial_step", "min_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.safety < 1.0:
             raise ValueError("safety must lie in (0, 1)")
         if self.min_step > self.initial_step:
             raise ValueError("min_step must not exceed initial_step")
         if self.max_step is not None:
-            if self.max_step <= 0:
-                raise ValueError("max_step must be positive")
+            if not (self.max_step > 0 and math.isfinite(self.max_step)):
+                raise ValueError("max_step must be positive and finite")
             if self.initial_step > self.max_step:
                 raise ValueError("initial_step must not exceed max_step")
         if self.max_steps < 1:
@@ -187,16 +192,24 @@ class Trajectory:
         return self.etas.size
 
 
-def _check_result(status, fail_eta):
-    if status == _drivers.OK:
-        return
-    if status == _drivers.BLOW_UP:
-        raise BlowUpError(f"solution blew up near eta = {fail_eta:.6g}", fail_eta)
-    if status == _drivers.UNDERFLOW:
-        raise StepUnderflowError(
-            f"required step fell below min_step near eta = {fail_eta:.6g}", fail_eta
-        )
-    raise StepLimitError(f"exceeded step budget near eta = {fail_eta:.6g}", fail_eta)
+def _rk4(rhs, eta, y, k1, h):
+    """One classical four-stage RK4 update over ``[eta, eta + h]``, given ``k1 = rhs(eta, y)``."""
+    k2 = rhs(eta + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(eta + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(eta + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _finite(v) -> bool:
+    return all(map(math.isfinite, v))
+
+
+def _blow_up(eta) -> BlowUpError:
+    return BlowUpError(f"solution blew up near eta = {eta:.6g}", eta)
+
+
+def _step_limit(eta) -> StepLimitError:
+    return StepLimitError(f"exceeded step budget near eta = {eta:.6g}", eta)
 
 
 def rk4_step(system: OdeSystem, eta: float, state: np.ndarray, h: float) -> np.ndarray:
@@ -210,22 +223,107 @@ def rk4_step(system: OdeSystem, eta: float, state: np.ndarray, h: float) -> np.n
         raise ValueError("state must be finite")
     rhs = system.rhs
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        k1 = rhs(eta, y)
-        k2 = rhs(eta + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(eta + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(eta + h, y + h * k3)
-        out = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out = _rk4(rhs, eta, y, rhs(eta, y), h)
     if not np.all(np.isfinite(out)):
         raise BlowUpError(f"non-finite RK4 update at eta = {eta:.6g}", eta)
     return out
 
 
-def _run_driver(plain, compiled_factory, rhs, args):
-    if is_compiled(rhs):
-        driver = compiled_factory()
-        return driver(rhs, *args)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        return plain(rhs, *args)
+def _march_fixed(rhs, start, end, y0, h, max_steps):
+    # Uniform RK4 march; the final step is shortened so the last node is
+    # exactly ``end``.
+    n_steps = max(1, int(np.ceil((end - start) / h - 1e-12)))
+    if n_steps > max_steps:
+        raise _step_limit(start)
+    dim = y0.shape[0]
+    etas = np.empty(n_steps + 1)
+    states = np.empty((n_steps + 1, dim))
+    derivs = np.empty((n_steps + 1, dim))
+    y = y0.copy()
+    eta = start
+    etas[0] = eta
+    states[0] = y
+    for step in range(n_steps):
+        k1 = rhs(eta, y)
+        if not _finite(k1):
+            raise _blow_up(eta)
+        derivs[step] = k1
+        if step < n_steps - 1:
+            hi = h
+            eta_next = start + (step + 1) * h
+        else:
+            hi = end - eta
+            eta_next = end
+        y = _rk4(rhs, eta, y, k1, hi)
+        if not _finite(y):
+            raise _blow_up(eta_next)
+        eta = eta_next
+        etas[step + 1] = eta
+        states[step + 1] = y
+    k1 = rhs(end, y)
+    if not _finite(k1):
+        raise _blow_up(end)
+    derivs[n_steps] = k1
+    return Trajectory(etas, states, derivs)
+
+
+def _march_adaptive(rhs, start, end, y0, abs_tol, rel_tol, h0, min_step,
+                    max_step, safety, max_steps):
+    # Step doubling: one full RK4 step against two half steps.  The accepted
+    # state is the Richardson extrapolation of the two-half-step result; the
+    # raw difference drives the (tol/err)^(1/5) step update.
+    etas = np.empty(256)
+    states = np.empty((256, y0.shape[0]))
+    derivs = np.empty_like(states)
+    y = y0.copy()
+    eta = start
+    k1 = rhs(eta, y)
+    if not _finite(k1):
+        raise _blow_up(eta)
+    etas[0] = eta
+    states[0] = y
+    derivs[0] = k1
+    n = 1
+    h = min(h0, end - start, max_step)
+    attempts = 0
+    while eta < end:
+        last = False
+        if eta + h >= end:
+            h = end - eta
+            last = True
+        attempts += 1
+        if attempts > max_steps:
+            raise _step_limit(eta)
+        hh = 0.5 * h
+        y_full = _rk4(rhs, eta, y, k1, h)
+        y_mid = _rk4(rhs, eta, y, k1, hh)
+        mid = eta + hh
+        y_two = _rk4(rhs, mid, y_mid, rhs(mid, y_mid), hh)
+        if not (_finite(y_full) and _finite(y_two)):
+            raise _blow_up(eta)
+        ratio = float(np.max(np.abs(y_two - y_full) / (abs_tol + rel_tol * np.abs(y))))
+        if ratio <= 1.0:
+            y = y_two + (y_two - y_full) / 15.0
+            eta = end if last else eta + h
+            k1 = rhs(eta, y)
+            if not (_finite(y) and _finite(k1)):
+                raise _blow_up(eta)
+            if n == etas.size:
+                etas, states, derivs = (np.concatenate((a, np.empty_like(a)))
+                                        for a in (etas, states, derivs))
+            etas[n] = eta
+            states[n] = y
+            derivs[n] = k1
+            n += 1
+            fac = 5.0 if ratio == 0.0 else min(safety * ratio ** -0.2, 5.0)
+            h = max(min(h * fac, max_step), min_step)
+        else:
+            h *= max(safety * ratio ** -0.2, 0.1)
+            if h < min_step:
+                raise StepUnderflowError(
+                    f"required step fell below min_step near eta = {eta:.6g}", eta
+                )
+    return Trajectory(etas[:n].copy(), states[:n].copy(), derivs[:n].copy())
 
 
 def integrate_fixed(spec: IvpSpec, h: float, max_steps: int | None = None) -> Trajectory:
@@ -238,12 +336,9 @@ def integrate_fixed(spec: IvpSpec, h: float, max_steps: int | None = None) -> Tr
     if h <= 0:
         raise ValueError("step size must be positive")
     budget = default_max_steps() if max_steps is None else max_steps
-    status, fail_eta, etas, states, derivs, n = _run_driver(
-        _drivers.fixed_driver, _drivers.compiled_fixed, spec.system.rhs,
-        (spec.start, spec.end, spec.initial_state, float(h), budget),
-    )
-    _check_result(status, fail_eta)
-    return Trajectory(etas[:n].copy(), states[:n].copy(), derivs[:n].copy())
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        return _march_fixed(spec.system.rhs, spec.start, spec.end,
+                            spec.initial_state, float(h), budget)
 
 
 def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Trajectory:
@@ -267,16 +362,13 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
     BlowUpError, StepUnderflowError, StepLimitError
     """
     control = StepControl() if control is None else control
-    span = spec.end - spec.start
-    max_step = control.resolved_max_step(span)
-    status, fail_eta, etas, states, derivs, n = _run_driver(
-        _drivers.adaptive_driver, _drivers.compiled_adaptive, spec.system.rhs,
-        (spec.start, spec.end, spec.initial_state, control.abs_tol,
-         control.rel_tol, control.initial_step, control.min_step,
-         max_step, control.safety, control.max_steps),
-    )
-    _check_result(status, fail_eta)
-    return Trajectory(etas[:n].copy(), states[:n].copy(), derivs[:n].copy())
+    max_step = control.resolved_max_step(spec.end - spec.start)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        return _march_adaptive(spec.system.rhs, spec.start, spec.end,
+                               spec.initial_state, control.abs_tol,
+                               control.rel_tol, control.initial_step,
+                               control.min_step, max_step, control.safety,
+                               control.max_steps)
 
 
 def state_at(trajectory: Trajectory, eta: float) -> np.ndarray:

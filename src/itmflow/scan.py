@@ -41,10 +41,10 @@ class ScanGrid:
     spacing: str = "linear"
 
     def __post_init__(self):
-        if not self.h_min > 0:
-            raise ValueError(f"h_min must be positive, got {self.h_min}")
-        if not self.h_max > self.h_min:
-            raise ValueError("h_max must exceed h_min")
+        if not (self.h_min > 0 and math.isfinite(self.h_min)):
+            raise ValueError(f"h_min must be positive and finite, got {self.h_min}")
+        if not (self.h_max > self.h_min and math.isfinite(self.h_max)):
+            raise ValueError("h_max must be finite and exceed h_min")
         if self.count < 2:
             raise ValueError("count must be at least 2")
         if self.spacing not in ("linear", "logarithmic"):

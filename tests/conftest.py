@@ -1,13 +1,4 @@
-"""Shared test setup.
-
-The suite pins the pure-numpy backend so no test pays numba's per-process
-compile cost; both backends run identical source and are checked for
-bit-identical output in test_backend.py.
-"""
-
-import os
-
-os.environ.setdefault("ITMFLOW_BACKEND", "numpy")
+"""Shared test setup."""
 
 import pytest
 

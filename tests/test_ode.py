@@ -230,6 +230,8 @@ class TestValidation:
             IvpSpec(0.0, 1.0, np.array([1.0, 2.0]), EXP_1D)
         with pytest.raises(ValueError):
             IvpSpec(0.0, 1.0, np.array([math.inf]), EXP_1D)
+        with pytest.raises(ValueError):
+            IvpSpec(0.0, math.inf, np.array([1.0]), EXP_1D)
 
     @pytest.mark.parametrize("kwargs", [
         {"abs_tol": 0.0},
@@ -238,6 +240,7 @@ class TestValidation:
         {"min_step": 0.1, "initial_step": 0.01},
         {"initial_step": 3.0, "max_step": 1.0},
         {"max_steps": 0},
+        {"abs_tol": math.inf, "rel_tol": math.inf},
     ])
     def test_step_control_checks(self, kwargs):
         with pytest.raises(ValueError):

@@ -39,6 +39,7 @@ class TestGrid:
         {"h_min": 2.0, "h_max": 1.0, "count": 5},
         {"h_min": 1.0, "h_max": 2.0, "count": 1},
         {"h_min": 1.0, "h_max": 2.0, "count": 5, "spacing": "cubic"},
+        {"h_min": 1.0, "h_max": math.inf, "count": 5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -186,6 +186,8 @@ class TestItmConfigValidation:
         {"eta_inf_star": 0.0},
         {"gamma_tol": 0.0},
         {"max_iterations": 0},
+        {"gamma_tol": math.inf},
+        {"eta_inf_star": math.inf},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
