@@ -211,14 +211,51 @@ class TestOutputFile:
         assert path.read_bytes().decode() == out
 
 
-@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-@pytest.mark.parametrize("subcommand", ["sakiadis", "blasius", "scan", "compare"])
-def test_default_output_matches_golden(capsys, subcommand, fmt):
-    """Default stdout of every subcommand and format, frozen byte for byte.
+FORMATS = ("table", "csv", "json")
+# golden file stem: (subcommand and flags, formats, exit code)
+GOLDEN_CASES = {
+    "sakiadis": (("sakiadis",), FORMATS, 0),
+    "blasius": (("blasius",), FORMATS, 0),
+    "scan": (("scan",), FORMATS, 0),
+    "compare": (("compare",), FORMATS, 0),
+    "sakiadis-newton": (("sakiadis", "--root-finder", "newton"), FORMATS, 0),
+    # not converged: a table and a document, but no trajectory (empty csv)
+    "sakiadis-max3": (("sakiadis", "--max-iterations", "3"), FORMATS, 2),
+    # failed probes: '-' rows in the table, nan in the csv, null in json
+    "scan-failed": (("scan", "--h-min", "0.5", "--h-max", "3.5", "--count", "6"),
+                    FORMATS, 0),
+    "blasius-pair": (("blasius", "--eta-checks", "4,6"), FORMATS, 0),
+}
 
+
+@pytest.mark.parametrize("stem, fmt", [(stem, fmt) for stem, (_, formats, _) in
+                                       GOLDEN_CASES.items() for fmt in formats])
+def test_default_output_matches_golden(capsys, stem, fmt):
+    """Stdout of every subcommand and format, frozen byte for byte.
+
+    Default settings first, then the non-default paths: Newton, no
+    convergence, failed scan probes and a two-boundary Topfer check.
     Unlike the rerun check in the acceptance suite, this catches a change of
     output across versions of the code (e.g. a kernel rewrite).
     """
-    code, out, _ = run_cli(capsys, subcommand, "--format", fmt)
-    assert code == 0
-    assert out.encode("utf-8") == (GOLDEN / f"{subcommand}.{fmt}").read_bytes()
+    argv, _, expected_code = GOLDEN_CASES[stem]
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == expected_code
+    assert out.encode("utf-8") == (GOLDEN / f"{stem}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("sakiadis",),
+     "itmflow: backend=numpy root_finder=secant gamma_evaluations=10\n"),
+    (("sakiadis", "--root-finder", "newton"),
+     "itmflow: backend=numpy root_finder=newton gamma_evaluations=7\n"),
+    (("sakiadis", "--max-iterations", "3", "--format", "csv"),
+     "itmflow: backend=numpy root_finder=secant gamma_evaluations=3\n"
+     "itmflow: not converged; no trajectory to export\n"),
+    (("blasius",), "itmflow: backend=numpy accepted_eta=6.0\n"),
+    (("scan",), "itmflow: backend=numpy samples=40 failed=4\n"),
+    (("compare",), "itmflow: backend=numpy\n"),
+])
+def test_verbose_stderr_line(capsys, argv, expected):
+    _, _, err = run_cli(capsys, *argv, "--verbose")
+    assert err == expected
