@@ -11,8 +11,7 @@ existence/uniqueness probe.
 """
 
 from .models import (AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, augmented_ic,
-                     augmented_rhs, blasius_rhs, blasius_star_ic,
-                     sakiadis_rhs, sakiadis_star_ic)
+                     blasius_star_ic, sakiadis_star_ic)
 from .ode import (BACKEND, BlowUpError, IntegrationError, IvpSpec, OdeSystem,
                   StepControl, StepLimitError, StepUnderflowError, Trajectory,
                   integrate_adaptive, integrate_fixed, rk4_step, state_at)
@@ -23,7 +22,7 @@ from .solver import (ItmConfig, ItmIterate, ItmResult,
                      TopferResult, evaluate_gamma_at,
                      evaluate_gamma_with_derivative, solve_blasius_topfer,
                      solve_sakiadis)
-from .transform import (BlasiusGroup, DegenerateFarFieldError, ExtendedGroup,
+from .transform import (DegenerateFarFieldError, ExtendedGroup,
                         GammaEvaluation, gamma, gamma_derivative,
                         lambda_from_far_field, rescale_missing_ic,
                         rescale_trajectory, topfer_reduce)
@@ -38,10 +37,9 @@ __all__ = [
     "rk4_step", "integrate_fixed", "integrate_adaptive", "state_at",
     # models
     "SIMILARITY_SYSTEM", "AUGMENTED_SYSTEM",
-    "blasius_rhs", "sakiadis_rhs", "augmented_rhs",
     "blasius_star_ic", "sakiadis_star_ic", "augmented_ic",
     # transform
-    "ExtendedGroup", "BlasiusGroup", "GammaEvaluation",
+    "ExtendedGroup", "GammaEvaluation",
     "DegenerateFarFieldError", "lambda_from_far_field", "gamma",
     "gamma_derivative", "rescale_missing_ic", "rescale_trajectory",
     "topfer_reduce",

@@ -15,7 +15,6 @@ from .ode import OdeSystem
 
 __all__ = [
     "SIMILARITY_SYSTEM", "AUGMENTED_SYSTEM",
-    "blasius_rhs", "sakiadis_rhs", "augmented_rhs",
     "blasius_star_ic", "sakiadis_star_ic", "augmented_ic",
 ]
 
@@ -23,6 +22,7 @@ VALID_SIGNS = (1, -1)
 
 
 def _similarity_rhs(eta, y):
+    """(f, f', f'') -> (f', f'', -f f''/2)."""
     out = np.empty(3)
     out[0] = y[1]
     out[1] = y[2]
@@ -31,6 +31,7 @@ def _similarity_rhs(eta, y):
 
 
 def _augmented_rhs(eta, y):
+    """(u1..u6) -> (u2, u3, -u1 u3/2, u5, u6, -(u4 u3 + u1 u6)/2)."""
     out = np.empty(6)
     out[0] = y[1]
     out[1] = y[2]
@@ -43,27 +44,6 @@ def _augmented_rhs(eta, y):
 
 SIMILARITY_SYSTEM = OdeSystem(rhs=_similarity_rhs, dim=3)
 AUGMENTED_SYSTEM = OdeSystem(rhs=_augmented_rhs, dim=6)
-
-
-def _as_state(state, dim):
-    y = np.asarray(state, dtype=float)
-    if y.shape != (dim,):
-        raise ValueError(f"expected a state of dimension {dim}, got shape {y.shape}")
-    return y
-
-
-def blasius_rhs(state) -> np.ndarray:
-    """(f, f', f'') -> (f', f'', -f f''/2)."""
-    return _similarity_rhs(0.0, _as_state(state, 3))
-
-
-# Same equation drives the Sakiadis flow; only the conditions differ.
-sakiadis_rhs = blasius_rhs
-
-
-def augmented_rhs(state) -> np.ndarray:
-    """(u1..u6) -> (u2, u3, -u1 u3/2, u5, u6, -(u4 u3 + u1 u6)/2)."""
-    return _augmented_rhs(0.0, _as_state(state, 6))
 
 
 def blasius_star_ic() -> np.ndarray:

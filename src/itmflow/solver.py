@@ -255,6 +255,8 @@ def solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0, 10.0),
     parameters) when no pair agrees.
     """
     checks = [float(c) for c in eta_checks]
+    if not all(map(math.isfinite, checks)):
+        raise ValueError("truncated boundaries must be finite")
     if len(checks) < 2:
         raise ValueError("need at least two truncated boundaries")
     if any(b <= a for a, b in zip(checks, checks[1:])):

@@ -14,7 +14,7 @@ import numpy as np
 from .ode import Trajectory
 
 __all__ = [
-    "DegenerateFarFieldError", "ExtendedGroup", "BlasiusGroup",
+    "DegenerateFarFieldError", "ExtendedGroup",
     "GammaEvaluation", "lambda_from_far_field", "gamma", "gamma_derivative",
     "rescale_missing_ic", "rescale_trajectory", "topfer_reduce",
 ]
@@ -35,23 +35,6 @@ class ExtendedGroup:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"group parameter must be positive, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class BlasiusGroup:
-    """Blasius scaling group ``f* = lam^-alpha f, eta* = lam^alpha eta``.
-
-    ``alpha`` only reparametrizes the group; it is fixed to 1 throughout.
-    """
-
-    lam: float
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha == 0:
-            raise ValueError("alpha must be nonzero")
         if not self.lam > 0:
             raise ValueError(f"group parameter must be positive, got {self.lam}")
 

@@ -210,6 +210,14 @@ class TestOutputFile:
         assert code == code2 == 0
         assert path.read_bytes().decode() == out
 
+    @pytest.mark.parametrize("where", ["missing/x", "."])
+    def test_unwritable_path_is_an_error(self, capsys, tmp_path, where):
+        path = tmp_path / where
+        code, out, err = run_cli(capsys, "blasius", "--output", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"itmflow: cannot write {path}: ")
+
 
 FORMATS = ("table", "csv", "json")
 # golden file stem: (subcommand and flags, formats, exit code)

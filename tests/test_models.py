@@ -5,44 +5,39 @@ import math
 import numpy as np
 import pytest
 
-from itmflow import (AUGMENTED_SYSTEM, IvpSpec, StepControl, augmented_ic,
-                     augmented_rhs, blasius_rhs, blasius_star_ic,
-                     integrate_adaptive, integrate_fixed, sakiadis_rhs,
-                     sakiadis_star_ic)
-from itmflow.models import SIMILARITY_SYSTEM
+from itmflow import (AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, IvpSpec,
+                     StepControl, augmented_ic, blasius_star_ic,
+                     integrate_adaptive, integrate_fixed, sakiadis_star_ic)
 
 
 class TestSimilarityRhs:
     def test_zero_stream_function(self):
-        assert np.allclose(blasius_rhs([0.0, 0.0, 1.0]), [0.0, 1.0, 0.0])
+        out = SIMILARITY_SYSTEM.rhs(0.0, np.array([0.0, 0.0, 1.0]))
+        assert np.allclose(out, [0.0, 1.0, 0.0])
 
     def test_direct_evaluation(self):
-        assert np.allclose(blasius_rhs([2.0, 1.0, 3.0]), [1.0, 3.0, -3.0])
+        out = SIMILARITY_SYSTEM.rhs(0.0, np.array([2.0, 1.0, 3.0]))
+        assert np.allclose(out, [1.0, 3.0, -3.0])
 
     def test_zero_curvature(self):
-        assert np.allclose(blasius_rhs([1.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
-
-    def test_sakiadis_is_same_function(self):
-        assert sakiadis_rhs is blasius_rhs
-
-    def test_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            blasius_rhs([1.0, 2.0])
+        out = SIMILARITY_SYSTEM.rhs(0.0, np.array([1.0, 0.0, 0.0]))
+        assert np.allclose(out, [0.0, 0.0, 0.0])
 
 
 class TestAugmentedRhs:
     def test_zeros(self):
-        assert np.allclose(augmented_rhs(np.zeros(6)), np.zeros(6))
+        assert np.allclose(AUGMENTED_SYSTEM.rhs(0.0, np.zeros(6)), np.zeros(6))
 
     def test_direct_substitution(self):
-        state = [0.0, 1.0, -1.0, 0.0, 0.5, 0.0]
-        assert np.allclose(augmented_rhs(state), [1.0, -1.0, 0.0, 0.5, 0.0, 0.0])
+        out = AUGMENTED_SYSTEM.rhs(0.0, np.array([0.0, 1.0, -1.0, 0.0, 0.5, 0.0]))
+        assert np.allclose(out, [1.0, -1.0, 0.0, 0.5, 0.0, 0.0])
 
     def test_embeds_similarity_rhs(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
             state = rng.normal(size=6)
-            assert np.array_equal(augmented_rhs(state)[:3], blasius_rhs(state[:3]))
+            assert np.array_equal(AUGMENTED_SYSTEM.rhs(0.0, state)[:3],
+                                  SIMILARITY_SYSTEM.rhs(0.0, state[:3]))
 
 
 class TestInitialConditions:

@@ -241,14 +241,15 @@ class TestTopfer:
         assert sol.states[0, 1] == 0.0
         assert abs(sol.states[-1, 1] - 1.0) <= 1e-5
 
-    @pytest.mark.parametrize("kwargs", [
-        {"eta_checks": (4.0,)},
-        {"eta_checks": (6.0, 4.0)},
-        {"eta_checks": (-1.0, 4.0)},
-        {"eta_checks": (4.0, 6.0), "agreement_tol": 0.0},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"eta_checks": (4.0,)}, "at least two"),
+        ({"eta_checks": (6.0, 4.0)}, "strictly increasing"),
+        ({"eta_checks": (-1.0, 4.0)}, "must be positive"),
+        ({"eta_checks": (4.0, 6.0), "agreement_tol": 0.0}, "agreement_tol"),
+        ({"eta_checks": (4.0, math.nan)}, "truncated boundaries must be finite"),
+    ], ids=[f"kwargs{i}" for i in range(5)])
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
             solve_blasius_topfer(**kwargs)
 
     def test_custom_step_control(self):

@@ -11,7 +11,6 @@ from itmflow import (DegenerateFarFieldError, ExtendedGroup, GammaEvaluation,
                      rescale_missing_ic, rescale_trajectory, sakiadis_star_ic,
                      topfer_reduce)
 from itmflow.models import SIMILARITY_SYSTEM
-from itmflow.transform import BlasiusGroup
 
 
 class TestLambda:
@@ -128,12 +127,11 @@ class TestRescaling:
 
     def test_rescaled_derivs_consistent_with_rhs(self):
         # the scaled slopes must still be the system's rhs of the scaled states
-        from itmflow import blasius_rhs
         ic = sakiadis_star_ic(2.5)
         spec = IvpSpec(0.0, 5.0, ic, SIMILARITY_SYSTEM)
         out = rescale_trajectory(ExtendedGroup(1.7), integrate_adaptive(spec))
         for i in (0, len(out) // 2, len(out) - 1):
-            assert np.allclose(out.derivs[i], blasius_rhs(out.states[i]),
+            assert np.allclose(out.derivs[i], SIMILARITY_SYSTEM.rhs(0.0, out.states[i]),
                                rtol=1e-12, atol=1e-15)
 
     def test_requires_three_components(self):
@@ -161,8 +159,3 @@ class TestGroupTypes:
     def test_extended_group_positive(self):
         with pytest.raises(ValueError):
             ExtendedGroup(0.0)
-
-    def test_blasius_group_alpha_nonzero(self):
-        with pytest.raises(ValueError):
-            BlasiusGroup(lam=1.0, alpha=0.0)
-        assert BlasiusGroup(lam=2.0).alpha == 1.0
