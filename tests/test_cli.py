@@ -219,25 +219,23 @@ class TestOutputFile:
         assert err.startswith(f"itmflow: cannot write {path}: ")
 
 
-FORMATS = ("table", "csv", "json")
-# golden file stem: (subcommand and flags, formats, exit code)
+# golden file stem: (subcommand and flags, exit code); every format is frozen
 GOLDEN_CASES = {
-    "sakiadis": (("sakiadis",), FORMATS, 0),
-    "blasius": (("blasius",), FORMATS, 0),
-    "scan": (("scan",), FORMATS, 0),
-    "compare": (("compare",), FORMATS, 0),
-    "sakiadis-newton": (("sakiadis", "--root-finder", "newton"), FORMATS, 0),
+    "sakiadis": (("sakiadis",), 0),
+    "blasius": (("blasius",), 0),
+    "scan": (("scan",), 0),
+    "compare": (("compare",), 0),
+    "sakiadis-newton": (("sakiadis", "--root-finder", "newton"), 0),
     # not converged: a table and a document, but no trajectory (empty csv)
-    "sakiadis-max3": (("sakiadis", "--max-iterations", "3"), FORMATS, 2),
+    "sakiadis-max3": (("sakiadis", "--max-iterations", "3"), 2),
     # failed probes: '-' rows in the table, nan in the csv, null in json
-    "scan-failed": (("scan", "--h-min", "0.5", "--h-max", "3.5", "--count", "6"),
-                    FORMATS, 0),
-    "blasius-pair": (("blasius", "--eta-checks", "4,6"), FORMATS, 0),
+    "scan-failed": (("scan", "--h-min", "0.5", "--h-max", "3.5", "--count", "6"), 0),
+    "blasius-pair": (("blasius", "--eta-checks", "4,6"), 0),
 }
 
 
-@pytest.mark.parametrize("stem, fmt", [(stem, fmt) for stem, (_, formats, _) in
-                                       GOLDEN_CASES.items() for fmt in formats])
+@pytest.mark.parametrize("stem, fmt", [(stem, fmt) for stem in GOLDEN_CASES
+                                       for fmt in ("table", "csv", "json")])
 def test_default_output_matches_golden(capsys, stem, fmt):
     """Stdout of every subcommand and format, frozen byte for byte.
 
@@ -246,7 +244,7 @@ def test_default_output_matches_golden(capsys, stem, fmt):
     Unlike the rerun check in the acceptance suite, this catches a change of
     output across versions of the code (e.g. a kernel rewrite).
     """
-    argv, _, expected_code = GOLDEN_CASES[stem]
+    argv, expected_code = GOLDEN_CASES[stem]
     code, out, _ = run_cli(capsys, *argv, "--format", fmt)
     assert code == expected_code
     assert out.encode("utf-8") == (GOLDEN / f"{stem}.{fmt}").read_bytes()
