@@ -22,10 +22,9 @@ from .solver import (ItmConfig, ItmIterate, ItmResult,
                      TopferResult, evaluate_gamma_at,
                      evaluate_gamma_with_derivative, solve_blasius_topfer,
                      solve_sakiadis)
-from .transform import (DegenerateFarFieldError, ExtendedGroup,
-                        GammaEvaluation, gamma, gamma_derivative,
-                        lambda_from_far_field, rescale_missing_ic,
-                        rescale_trajectory, topfer_reduce)
+from .transform import (DegenerateFarFieldError, GammaEvaluation,
+                        lambda_from_far_field, rescale_trajectory,
+                        topfer_reduce)
 
 __version__ = "0.1.0"
 
@@ -39,10 +38,8 @@ __all__ = [
     "SIMILARITY_SYSTEM", "AUGMENTED_SYSTEM",
     "blasius_star_ic", "sakiadis_star_ic", "augmented_ic",
     # transform
-    "ExtendedGroup", "GammaEvaluation",
-    "DegenerateFarFieldError", "lambda_from_far_field", "gamma",
-    "gamma_derivative", "rescale_missing_ic", "rescale_trajectory",
-    "topfer_reduce",
+    "GammaEvaluation", "DegenerateFarFieldError", "lambda_from_far_field",
+    "rescale_trajectory", "topfer_reduce",
     # solver
     "ItmConfig", "ItmIterate", "ItmResult", "TopferResult",
     "RootFinderBreakdownError", "TopferAgreementError",

@@ -9,10 +9,11 @@ ever goes to stderr (``--verbose``).
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
-from .ode import BACKEND, IntegrationError, StepControl
+from .ode import BACKEND, DEFAULT_MAX_STEPS, IntegrationError, StepControl
 from .scan import ScanFailedError, ScanGrid, export_scan, scan
 from .solver import (ItmConfig, RootFinderBreakdownError, TopferAgreementError,
                      solve_blasius_topfer, solve_sakiadis)
@@ -140,7 +141,18 @@ def _config(args, *names) -> dict:
 
 
 def _step_control(args) -> StepControl:
-    return StepControl(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
+    """Tolerances from the flags; the step budget from ``ITM_MAX_STEPS`` when set."""
+    raw = os.environ.get("ITM_MAX_STEPS")
+    if raw is None:
+        max_steps = DEFAULT_MAX_STEPS
+    else:
+        try:
+            max_steps = int(raw)
+        except ValueError:
+            raise ValueError(f"ITM_MAX_STEPS must be an integer, got {raw!r}") from None
+        if max_steps < 1:
+            raise ValueError(f"ITM_MAX_STEPS must be positive, got {max_steps}")
+    return StepControl(abs_tol=args.abs_tol, rel_tol=args.rel_tol, max_steps=max_steps)
 
 
 def _trajectory_csv(traj) -> str:
@@ -210,8 +222,7 @@ def cmd_blasius(args) -> Report:
 def cmd_scan(args) -> Report:
     grid = ScanGrid(h_min=args.h_min, h_max=args.h_max, count=args.count,
                     spacing=args.spacing)
-    itm = ItmConfig(eta_inf_star=args.eta_inf_star, step_control=_step_control(args))
-    report = scan(grid, args.sign, itm)
+    report = scan(grid, args.sign, args.eta_inf_star, _step_control(args))
     table = [f"{'h_star':>10} {'Gamma':>12} {'lambda':>10}  failed"]
     table += [f"{s.h_star:>10.4f} {'-':>12} {'-':>10}  true" if s.failed else
               f"{s.h_star:>10.4f} {_fmt_gamma(s.gamma)} {s.lam:>10.6f}  false"

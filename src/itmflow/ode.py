@@ -6,8 +6,7 @@ plus cubic-Hermite dense output over the accepted samples.
 """
 
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -15,13 +14,16 @@ import numpy as np
 __all__ = [
     "BACKEND", "OdeSystem", "IvpSpec", "StepControl", "Trajectory",
     "IntegrationError", "BlowUpError", "StepUnderflowError", "StepLimitError",
-    "default_max_steps", "rk4_step", "integrate_fixed", "integrate_adaptive",
+    "DEFAULT_MAX_STEPS", "rk4_step", "integrate_fixed", "integrate_adaptive",
     "state_at",
 ]
 
 # The one integration kernel: interpreted Python stepping over numpy vectors.
 # Reported in run metadata (``--verbose``); not a setting.
 BACKEND = "numpy"
+
+# Step budget of every integration unless a caller passes its own.
+DEFAULT_MAX_STEPS = 10 ** 6
 
 
 class IntegrationError(RuntimeError):
@@ -42,20 +44,6 @@ class StepUnderflowError(IntegrationError):
 
 class StepLimitError(IntegrationError):
     """The integration exceeded ``max_steps`` step attempts."""
-
-
-def default_max_steps() -> int:
-    """Step budget: ``ITM_MAX_STEPS`` from the environment, or 10**6."""
-    raw = os.environ.get("ITM_MAX_STEPS")
-    if raw is None:
-        return 10 ** 6
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"ITM_MAX_STEPS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"ITM_MAX_STEPS must be positive, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -104,7 +92,7 @@ class StepControl:
 
     Acceptance is per component against ``abs_tol + rel_tol * |y_i|``.
     ``max_step=None`` resolves to a quarter of the integration span.
-    ``max_steps`` defaults from the ``ITM_MAX_STEPS`` environment variable.
+    ``max_steps`` caps the step attempts of one integration.
     """
 
     abs_tol: float = 1e-6
@@ -113,7 +101,7 @@ class StepControl:
     min_step: float = 1e-12
     max_step: float | None = None
     safety: float = 0.9
-    max_steps: int = field(default_factory=default_max_steps)
+    max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol", "initial_step", "min_step"):
@@ -172,21 +160,8 @@ class Trajectory:
         return self.states.shape[1]
 
     @property
-    def start(self) -> float:
-        return float(self.etas[0])
-
-    @property
-    def end(self) -> float:
-        return float(self.etas[-1])
-
-    @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-    @property
-    def samples(self):
-        """Ordered (eta, state) pairs."""
-        return list(zip(self.etas.tolist(), self.states))
 
     def __len__(self) -> int:
         return self.etas.size
@@ -335,7 +310,7 @@ def integrate_fixed(spec: IvpSpec, h: float, max_steps: int | None = None) -> Tr
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    budget = default_max_steps() if max_steps is None else max_steps
+    budget = DEFAULT_MAX_STEPS if max_steps is None else max_steps
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         return _march_fixed(spec.system.rhs, spec.start, spec.end,
                             spec.initial_state, float(h), budget)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import IntegrationError
-from .solver import ItmConfig, _evaluate
+from .ode import IntegrationError, StepControl
+from .solver import _evaluate
 from .transform import DegenerateFarFieldError
 
 __all__ = [
@@ -99,21 +99,25 @@ def _verdict_of(samples, brackets) -> str:
     return UNIQUE_ZERO if len(brackets) == 1 else MULTIPLE_ZEROS
 
 
-def scan(grid: ScanGrid, sign: int, config: ItmConfig | None = None) -> ScanReport:
+def scan(grid: ScanGrid, sign: int, eta_inf_star: float = 10.0,
+         step_control: StepControl | None = None) -> ScanReport:
     """Evaluate Gamma at every grid point and classify the sign changes.
 
-    The verdict is ``unique_zero`` for exactly one bracket with no failed
-    probe inside it, ``no_zero`` / ``multiple_zeros`` by bracket count, and
-    ``inconclusive`` when a bracket touches a grid edge or contains a failed
-    probe.
+    Each probe integrates the starred IVP with initial curvature ``sign``
+    to the truncated boundary ``eta_inf_star`` under ``step_control``
+    (default :class:`StepControl()`).  The verdict is ``unique_zero`` for
+    exactly one bracket with no failed probe inside it, ``no_zero`` /
+    ``multiple_zeros`` by bracket count, and ``inconclusive`` when a
+    bracket touches a grid edge or contains a failed probe.
     """
-    config = ItmConfig() if config is None else config
+    if not (eta_inf_star > 0 and math.isfinite(eta_inf_star)):
+        raise ValueError(f"eta_inf_star must be positive and finite, got {eta_inf_star}")
+    control = StepControl() if step_control is None else step_control
     samples = []
     for h_star in grid.points():
         h = float(h_star)
         try:
-            evaluation, _ = _evaluate(h, sign, config.eta_inf_star,
-                                      config.step_control, False)
+            evaluation, _ = _evaluate(h, sign, eta_inf_star, control, False)
             samples.append(ScanSample(h, evaluation.gamma, evaluation.lam, False))
         except (IntegrationError, DegenerateFarFieldError):
             samples.append(ScanSample(h, math.nan, math.nan, True))

@@ -15,8 +15,7 @@ import numpy as np
 from .models import (AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, VALID_SIGNS,
                      augmented_ic, blasius_star_ic, sakiadis_star_ic)
 from .ode import IvpSpec, StepControl, Trajectory, integrate_adaptive
-from .transform import ExtendedGroup, GammaEvaluation, rescale_missing_ic, \
-    rescale_trajectory, topfer_reduce
+from .transform import GammaEvaluation, rescale_trajectory, topfer_reduce
 
 __all__ = [
     "SECANT", "NEWTON", "ItmConfig", "ItmIterate", "ItmResult", "TopferResult",
@@ -163,15 +162,15 @@ def evaluate_gamma_with_derivative(h_star: float,
     return evaluation
 
 
-def _finalize(iterates, evaluation, traj, sign):
-    group = ExtendedGroup(lam=evaluation.lam)
+def _finalize(iterates, accepted, traj):
+    """Converged result at the ``accepted`` iterate, whose starred trajectory is ``traj``."""
     return ItmResult(
         iterates=iterates,
         converged=True,
-        final_h_star=evaluation.h_star,
-        final_lambda=evaluation.lam,
-        final_wall_shear=rescale_missing_ic(group, float(sign)),
-        rescaled_solution=rescale_trajectory(group, traj),
+        final_h_star=accepted.h_star,
+        final_lambda=accepted.lam,
+        final_wall_shear=accepted.wall_shear,
+        rescaled_solution=rescale_trajectory(accepted.lam, traj),
     )
 
 
@@ -194,19 +193,19 @@ def solve_sakiadis(config: ItmConfig | None = None) -> ItmResult:
     def probe(h_star):
         evaluation, traj = _evaluate(h_star, config.sign, config.eta_inf_star,
                                      config.step_control, with_derivative)
-        wall = rescale_missing_ic(ExtendedGroup(lam=evaluation.lam), float(config.sign))
+        # The missing initial curvature maps back as lam^-3 f*''(0).
         iterates.append(ItmIterate(j=len(iterates), h_star=float(h_star),
                                    lam=evaluation.lam, gamma=evaluation.gamma,
-                                   wall_shear=wall))
+                                   wall_shear=float(config.sign) / evaluation.lam ** 3))
         return evaluation, traj
 
     if config.root_finder == SECANT:
         prev_ev, prev_traj = probe(config.h0)
         cur_ev, cur_traj = probe(config.h1)
         if abs(cur_ev.gamma) <= config.gamma_tol:
-            return _finalize(iterates, cur_ev, cur_traj, config.sign)
+            return _finalize(iterates, iterates[1], cur_traj)
         if abs(prev_ev.gamma) <= config.gamma_tol:
-            return _finalize(iterates, prev_ev, prev_traj, config.sign)
+            return _finalize(iterates, iterates[0], prev_traj)
         while len(iterates) < config.max_iterations:
             if cur_ev.gamma == prev_ev.gamma:
                 raise RootFinderBreakdownError(
@@ -219,13 +218,13 @@ def solve_sakiadis(config: ItmConfig | None = None) -> ItmResult:
             prev_ev = cur_ev
             cur_ev, cur_traj = probe(h_next)
             if abs(cur_ev.gamma) <= config.gamma_tol:
-                return _finalize(iterates, cur_ev, cur_traj, config.sign)
+                return _finalize(iterates, iterates[-1], cur_traj)
         return ItmResult(iterates=iterates, converged=False)
 
     cur_ev, cur_traj = probe(config.h0)
     while True:
         if abs(cur_ev.gamma) <= config.gamma_tol:
-            return _finalize(iterates, cur_ev, cur_traj, config.sign)
+            return _finalize(iterates, iterates[-1], cur_traj)
         if len(iterates) >= config.max_iterations:
             return ItmResult(iterates=iterates, converged=False)
         if abs(cur_ev.dgamma_dh) < _MIN_DERIVATIVE:
@@ -300,7 +299,7 @@ def solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0, 10.0),
     lam, wall_shear = topfer_reduce(far)
     # The starred->original map stretches eta by sqrt(far slope), the
     # reciprocal of the reported parameter.
-    rescaled = rescale_trajectory(ExtendedGroup(lam=far ** 0.5), star_traj)
+    rescaled = rescale_trajectory(far ** 0.5, star_traj)
     return TopferResult(
         lambda_checks=lambda_checks,
         accepted_eta=checks[accepted],

@@ -14,9 +14,8 @@ import numpy as np
 from .ode import Trajectory
 
 __all__ = [
-    "DegenerateFarFieldError", "ExtendedGroup",
-    "GammaEvaluation", "lambda_from_far_field", "gamma", "gamma_derivative",
-    "rescale_missing_ic", "rescale_trajectory", "topfer_reduce",
+    "DegenerateFarFieldError", "GammaEvaluation", "lambda_from_far_field",
+    "rescale_trajectory", "topfer_reduce",
 ]
 
 
@@ -26,17 +25,6 @@ class DegenerateFarFieldError(ValueError):
     This is the algebraic signature of a diverged IVP (or an invalid h*):
     the group parameter would not be real.
     """
-
-
-@dataclass(frozen=True)
-class ExtendedGroup:
-    """Parameter of the extended scaling group; must be positive."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"group parameter must be positive, got {self.lam}")
 
 
 def lambda_from_far_field(far_slope: float, h_star: float) -> float:
@@ -53,32 +41,16 @@ def lambda_from_far_field(far_slope: float, h_star: float) -> float:
     return math.sqrt(radicand)
 
 
-def gamma(h_star: float, far_slope: float) -> float:
-    """Transformation function ``Gamma = h* / lam^4 - 1``."""
-    lam = lambda_from_far_field(far_slope, h_star)
-    return h_star / lam ** 4 - 1.0
-
-
-def gamma_derivative(h_star: float, far_slope: float,
-                     far_slope_sensitivity: float) -> float:
-    """d(Gamma)/dh* from the far slope and its h*-sensitivity.
-
-    With ``t = far_slope + sqrt(h*)``:
-    ``t^-2 (1 - 2 (u5 + 1/(2 sqrt(h*))) h* / t)``.
-    """
-    lam = lambda_from_far_field(far_slope, h_star)
-    t = lam * lam
-    inner = 1.0 - 2.0 * (far_slope_sensitivity + 0.5 / math.sqrt(h_star)) * h_star / t
-    return inner / (t * t)
-
-
 @dataclass(frozen=True)
 class GammaEvaluation:
     """One evaluation of the transformation function at ``h_star``.
 
     Always built through :func:`lambda_from_far_field`, so
     ``lam**2 == far_slope + sqrt(h_star)`` and
-    ``gamma == h_star * lam**-4 - 1`` hold by construction.
+    ``gamma == h_star * lam**-4 - 1`` hold by construction.  Given the
+    h*-sensitivity ``u5`` of the far slope, ``dgamma_dh`` is, with
+    ``t = far_slope + sqrt(h*)``,
+    ``t^-2 (1 - 2 (u5 + 1/(2 sqrt(h*))) h* / t)``.
     """
 
     h_star: float
@@ -94,17 +66,14 @@ class GammaEvaluation:
         value = h_star / lam ** 4 - 1.0
         deriv = None
         if far_slope_sensitivity is not None:
-            deriv = gamma_derivative(h_star, far_slope, far_slope_sensitivity)
+            t = lam * lam
+            inner = 1.0 - 2.0 * (far_slope_sensitivity + 0.5 / math.sqrt(h_star)) * h_star / t
+            deriv = inner / (t * t)
         return cls(h_star=float(h_star), far_slope=float(far_slope),
                    lam=lam, gamma=value, dgamma_dh=deriv)
 
 
-def rescale_missing_ic(group: ExtendedGroup, star_curvature: float) -> float:
-    """Missing initial curvature of the original problem: ``lam^-3 f*''(0)``."""
-    return star_curvature / group.lam ** 3
-
-
-def rescale_trajectory(group: ExtendedGroup, star_traj: Trajectory) -> Trajectory:
+def rescale_trajectory(lam: float, star_traj: Trajectory) -> Trajectory:
     """Map a starred (f, f', f'') trajectory back through the group.
 
     Each sample ``(eta*, f*, f*', f*'')`` becomes
@@ -112,9 +81,10 @@ def rescale_trajectory(group: ExtendedGroup, star_traj: Trajectory) -> Trajector
     sides pick up one further power of ``lam`` because the abscissa is
     stretched by it.
     """
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError(f"group parameter must be positive and finite, got {lam}")
     if star_traj.dim != 3:
         raise ValueError(f"rescaling expects a 3-component trajectory, got dim {star_traj.dim}")
-    lam = group.lam
     state_scale = np.array([lam ** -1, lam ** -2, lam ** -3])
     deriv_scale = state_scale / lam
     return Trajectory(

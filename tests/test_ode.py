@@ -9,7 +9,6 @@ from itmflow import (BlowUpError, IvpSpec, OdeSystem, StepControl,
                      StepLimitError, StepUnderflowError, blasius_star_ic,
                      integrate_adaptive, integrate_fixed, rk4_step, state_at)
 from itmflow.models import SIMILARITY_SYSTEM
-from itmflow.ode import default_max_steps
 
 
 def _const_zero(eta, y):
@@ -245,11 +244,3 @@ class TestValidation:
     def test_step_control_checks(self, kwargs):
         with pytest.raises(ValueError):
             StepControl(**kwargs)
-
-    def test_max_steps_env_override(self, monkeypatch):
-        monkeypatch.setenv("ITM_MAX_STEPS", "1234")
-        assert default_max_steps() == 1234
-        assert StepControl().max_steps == 1234
-        monkeypatch.setenv("ITM_MAX_STEPS", "banana")
-        with pytest.raises(ValueError):
-            default_max_steps()

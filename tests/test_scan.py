@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from itmflow import (ItmConfig, ScanFailedError, ScanGrid, export_scan, scan,
-                     solve_sakiadis)
+from itmflow import (ItmConfig, ScanFailedError, ScanGrid, StepControl,
+                     evaluate_gamma_at, export_scan, scan, solve_sakiadis)
 
 DEFAULT_GRID = ScanGrid(h_min=0.5, h_max=20.0, count=40)
 
@@ -44,6 +44,20 @@ class TestGrid:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ScanGrid(**kwargs)
+
+
+class TestSettings:
+    def test_boundary_and_step_control_reach_every_probe(self):
+        control = StepControl(abs_tol=1e-8, rel_tol=1e-8)
+        report = scan(ScanGrid(2.5, 3.5, 2), 1, eta_inf_star=8.0, step_control=control)
+        config = ItmConfig(sign=1, eta_inf_star=8.0, step_control=control)
+        for sample in report.samples:
+            assert sample.gamma == evaluate_gamma_at(sample.h_star, config).gamma
+
+    @pytest.mark.parametrize("eta_inf_star", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_truncated_boundary(self, eta_inf_star):
+        with pytest.raises(ValueError, match="eta_inf_star must be positive and finite"):
+            scan(ScanGrid(2.5, 3.5, 2), -1, eta_inf_star)
 
 
 class TestVerdicts:

@@ -5,11 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from itmflow import (DegenerateFarFieldError, ExtendedGroup, GammaEvaluation,
-                     IvpSpec, Trajectory, gamma, gamma_derivative,
-                     integrate_adaptive, lambda_from_far_field,
-                     rescale_missing_ic, rescale_trajectory, sakiadis_star_ic,
-                     topfer_reduce)
+from itmflow import (DegenerateFarFieldError, GammaEvaluation, IvpSpec,
+                     Trajectory, integrate_adaptive, lambda_from_far_field,
+                     rescale_trajectory, sakiadis_star_ic, topfer_reduce)
 from itmflow.models import SIMILARITY_SYSTEM
 
 
@@ -31,6 +29,14 @@ class TestLambda:
             lambda_from_far_field(1.0, -1.0)
 
 
+def gamma(h_star, far_slope):
+    return GammaEvaluation.from_far_field(h_star, far_slope).gamma
+
+
+def dgamma_dh(h_star, far_slope, far_slope_sensitivity):
+    return GammaEvaluation.from_far_field(h_star, far_slope, far_slope_sensitivity).dgamma_dh
+
+
 class TestGamma:
     def test_exact_root_of_algebra(self):
         assert gamma(1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
@@ -45,10 +51,7 @@ class TestGamma:
 
 class TestGammaDerivative:
     def test_balanced_case_vanishes(self):
-        assert gamma_derivative(1.0, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_direct_evaluation(self):
-        assert gamma_derivative(4.0, 2.0, 0.0) == pytest.approx(1.0 / 32.0, abs=1e-15)
+        assert dgamma_dh(1.0, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_finite_differences_of_composed_gamma(self, tight_control):
         # eta_inf = 3 keeps the far-field radicand positive over all of [1.5, 4]
@@ -66,7 +69,7 @@ class TestGammaDerivative:
         rng = np.random.default_rng(7)
         for h in rng.uniform(1.5, 4.0, size=10):
             h = float(h)
-            analytic = gamma_derivative(h, far(h), far_sensitivity(h))
+            analytic = dgamma_dh(h, far(h), far_sensitivity(h))
             delta = 1e-5 * h
             fd = (gamma(h + delta, far(h + delta))
                   - gamma(h - delta, far(h - delta))) / (2.0 * delta)
@@ -86,16 +89,6 @@ class TestGammaEvaluation:
 
 
 class TestRescaling:
-    def test_missing_ic_identity_group(self):
-        assert rescale_missing_ic(ExtendedGroup(1.0), -0.7) == -0.7
-
-    def test_missing_ic_direct_powers(self):
-        assert rescale_missing_ic(ExtendedGroup(2.0), -1.0) == -0.125
-
-    def test_missing_ic_converged_value(self):
-        out = rescale_missing_ic(ExtendedGroup(1.311043), -1.0)
-        assert out == pytest.approx(-0.443761, abs=1e-6)
-
     def _toy_trajectory(self):
         etas = np.array([0.0, 1.0])
         states = np.array([[0.0, 0.0, 0.0], [2.0, 4.0, 8.0]])
@@ -104,14 +97,14 @@ class TestRescaling:
 
     def test_identity_group_leaves_trajectory(self):
         traj = self._toy_trajectory()
-        out = rescale_trajectory(ExtendedGroup(1.0), traj)
+        out = rescale_trajectory(1.0, traj)
         assert np.array_equal(out.etas, traj.etas)
         assert np.array_equal(out.states, traj.states)
         assert np.array_equal(out.derivs, traj.derivs)
 
     def test_single_sample_power_arithmetic(self):
         traj = self._toy_trajectory()
-        out = rescale_trajectory(ExtendedGroup(2.0), traj)
+        out = rescale_trajectory(2.0, traj)
         assert out.etas[1] == 2.0
         assert np.allclose(out.states[1], [1.0, 1.0, 1.0])
 
@@ -119,8 +112,8 @@ class TestRescaling:
         ic = sakiadis_star_ic(2.5)
         spec = IvpSpec(0.0, 5.0, ic, SIMILARITY_SYSTEM)
         traj = integrate_adaptive(spec)
-        one = rescale_trajectory(ExtendedGroup(1.3), rescale_trajectory(ExtendedGroup(0.8), traj))
-        two = rescale_trajectory(ExtendedGroup(1.3 * 0.8), traj)
+        one = rescale_trajectory(1.3, rescale_trajectory(0.8, traj))
+        two = rescale_trajectory(1.3 * 0.8, traj)
         assert np.allclose(one.etas, two.etas, rtol=1e-14, atol=0)
         assert np.allclose(one.states, two.states, rtol=1e-13, atol=1e-16)
         assert np.allclose(one.derivs, two.derivs, rtol=1e-13, atol=1e-16)
@@ -129,7 +122,7 @@ class TestRescaling:
         # the scaled slopes must still be the system's rhs of the scaled states
         ic = sakiadis_star_ic(2.5)
         spec = IvpSpec(0.0, 5.0, ic, SIMILARITY_SYSTEM)
-        out = rescale_trajectory(ExtendedGroup(1.7), integrate_adaptive(spec))
+        out = rescale_trajectory(1.7, integrate_adaptive(spec))
         for i in (0, len(out) // 2, len(out) - 1):
             assert np.allclose(out.derivs[i], SIMILARITY_SYSTEM.rhs(0.0, out.states[i]),
                                rtol=1e-12, atol=1e-15)
@@ -138,7 +131,13 @@ class TestRescaling:
         etas = np.array([0.0, 1.0])
         flat = np.zeros((2, 2))
         with pytest.raises(ValueError):
-            rescale_trajectory(ExtendedGroup(2.0), Trajectory(etas, flat, flat))
+            rescale_trajectory(2.0, Trajectory(etas, flat, flat))
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan],
+                             ids=["zero", "negative", "inf", "nan"])
+    def test_rejects_bad_group_parameter(self, lam):
+        with pytest.raises(ValueError, match="group parameter must be positive and finite"):
+            rescale_trajectory(lam, self._toy_trajectory())
 
 
 class TestTopferReduce:
@@ -153,9 +152,3 @@ class TestTopferReduce:
     def test_rejects_nonpositive_slope(self):
         with pytest.raises(ValueError):
             topfer_reduce(0.0)
-
-
-class TestGroupTypes:
-    def test_extended_group_positive(self):
-        with pytest.raises(ValueError):
-            ExtendedGroup(0.0)
