@@ -19,9 +19,6 @@ from .solver import (ItmConfig, RootFinderBreakdownError, TopferAgreementError,
                      solve_blasius_topfer, solve_sakiadis)
 from .transform import DegenerateFarFieldError
 
-DEFAULT_ETA_CHECKS = (4.0, 6.0, 8.0, 10.0)
-DEFAULT_AGREEMENT_TOL = 1e-3
-
 
 class UsageError(Exception):
     pass
@@ -104,14 +101,16 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="ETA_INF", help="truncated boundary (default 10)")
     sak.add_argument("--gamma-tol", type=float, default=1e-9,
                      help="convergence criterion on |Gamma| (default 1e-9)")
-    sak.add_argument("--max-iterations", type=int, default=50)
+    sak.add_argument("--max-iterations", type=int, default=50,
+                     help="Gamma evaluation budget (default 50; secant always "
+                          "evaluates both seeds)")
     _add_common(sak)
 
     bla = subs.add_parser("blasius", help="static-plate flow via Topfer's "
                           "non-iterative rescaling")
     bla.add_argument("--eta-checks", type=_parse_checks, default="4,6,8,10", metavar="LIST",
                      help="comma-separated truncated boundaries (default 4,6,8,10)")
-    bla.add_argument("--agreement-tol", type=float, default=DEFAULT_AGREEMENT_TOL,
+    bla.add_argument("--agreement-tol", type=float, default=1e-3,
                      help="required agreement of subsequent parameters (default 1e-3)")
     _add_common(bla)
 
@@ -253,9 +252,7 @@ def _increase_percent(base_shear: float, other_shear: float) -> float:
 
 def cmd_compare(args) -> Report:
     control = _step_control(args)
-    topfer = solve_blasius_topfer(eta_checks=DEFAULT_ETA_CHECKS,
-                                  agreement_tol=DEFAULT_AGREEMENT_TOL,
-                                  step_control=control)
+    topfer = solve_blasius_topfer(step_control=control)
     itm = solve_sakiadis(ItmConfig(step_control=control))
     if not itm.converged:
         raise _NoOutput("Sakiadis solve did not converge")

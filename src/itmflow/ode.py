@@ -117,11 +117,8 @@ class StepControl:
                 raise ValueError("max_step must be positive and finite")
             if self.initial_step > self.max_step:
                 raise ValueError("initial_step must not exceed max_step")
-        if self.max_steps < 1:
+        if not self.max_steps >= 1:
             raise ValueError("max_steps must be positive")
-
-    def resolved_max_step(self, span: float) -> float:
-        return span / 4.0 if self.max_step is None else self.max_step
 
 
 class Trajectory:
@@ -189,8 +186,8 @@ def _step_limit(eta) -> StepLimitError:
 
 def rk4_step(system: OdeSystem, eta: float, state: np.ndarray, h: float) -> np.ndarray:
     """One classical four-stage RK4 update of ``state`` over ``[eta, eta + h]``."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("h must be positive and finite")
     y = np.asarray(state, dtype=float)
     if y.shape != (system.dim,):
         raise ValueError(f"state shape {y.shape} does not match system dimension {system.dim}")
@@ -204,103 +201,6 @@ def rk4_step(system: OdeSystem, eta: float, state: np.ndarray, h: float) -> np.n
     return out
 
 
-def _march_fixed(rhs, start, end, y0, h, max_steps):
-    # Uniform RK4 march; the final step is shortened so the last node is
-    # exactly ``end``.
-    n_steps = max(1, int(np.ceil((end - start) / h - 1e-12)))
-    if n_steps > max_steps:
-        raise _step_limit(start)
-    dim = y0.shape[0]
-    etas = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, dim))
-    derivs = np.empty((n_steps + 1, dim))
-    y = y0.copy()
-    eta = start
-    etas[0] = eta
-    states[0] = y
-    for step in range(n_steps):
-        k1 = rhs(eta, y)
-        if not _finite(k1):
-            raise _blow_up(eta)
-        derivs[step] = k1
-        if step < n_steps - 1:
-            hi = h
-            eta_next = start + (step + 1) * h
-        else:
-            hi = end - eta
-            eta_next = end
-        y = _rk4(rhs, eta, y, k1, hi)
-        if not _finite(y):
-            raise _blow_up(eta_next)
-        eta = eta_next
-        etas[step + 1] = eta
-        states[step + 1] = y
-    k1 = rhs(end, y)
-    if not _finite(k1):
-        raise _blow_up(end)
-    derivs[n_steps] = k1
-    return Trajectory(etas, states, derivs)
-
-
-def _march_adaptive(rhs, start, end, y0, abs_tol, rel_tol, h0, min_step,
-                    max_step, safety, max_steps):
-    # Step doubling: one full RK4 step against two half steps.  The accepted
-    # state is the Richardson extrapolation of the two-half-step result; the
-    # raw difference drives the (tol/err)^(1/5) step update.
-    etas = np.empty(256)
-    states = np.empty((256, y0.shape[0]))
-    derivs = np.empty_like(states)
-    y = y0.copy()
-    eta = start
-    k1 = rhs(eta, y)
-    if not _finite(k1):
-        raise _blow_up(eta)
-    etas[0] = eta
-    states[0] = y
-    derivs[0] = k1
-    n = 1
-    h = min(h0, end - start, max_step)
-    attempts = 0
-    while eta < end:
-        last = False
-        if eta + h >= end:
-            h = end - eta
-            last = True
-        attempts += 1
-        if attempts > max_steps:
-            raise _step_limit(eta)
-        hh = 0.5 * h
-        y_full = _rk4(rhs, eta, y, k1, h)
-        y_mid = _rk4(rhs, eta, y, k1, hh)
-        mid = eta + hh
-        y_two = _rk4(rhs, mid, y_mid, rhs(mid, y_mid), hh)
-        if not (_finite(y_full) and _finite(y_two)):
-            raise _blow_up(eta)
-        ratio = float(np.max(np.abs(y_two - y_full) / (abs_tol + rel_tol * np.abs(y))))
-        if ratio <= 1.0:
-            y = y_two + (y_two - y_full) / 15.0
-            eta = end if last else eta + h
-            k1 = rhs(eta, y)
-            if not (_finite(y) and _finite(k1)):
-                raise _blow_up(eta)
-            if n == etas.size:
-                etas, states, derivs = (np.concatenate((a, np.empty_like(a)))
-                                        for a in (etas, states, derivs))
-            etas[n] = eta
-            states[n] = y
-            derivs[n] = k1
-            n += 1
-            fac = 5.0 if ratio == 0.0 else min(safety * ratio ** -0.2, 5.0)
-            h = max(min(h * fac, max_step), min_step)
-        else:
-            h *= max(safety * ratio ** -0.2, 0.1)
-            if h < min_step:
-                raise StepUnderflowError(
-                    f"required step fell below min_step near eta = {eta:.6g}", eta
-                )
-    return Trajectory(etas[:n].copy(), states[:n].copy(), derivs[:n].copy())
-
-
 def integrate_fixed(spec: IvpSpec, h: float, max_steps: int | None = None) -> Trajectory:
     """Integrate with a uniform RK4 grid of step ``h``.
 
@@ -308,16 +208,55 @@ def integrate_fixed(spec: IvpSpec, h: float, max_steps: int | None = None) -> Tr
     than ``h``.  Raises :class:`StepLimitError` when the grid would exceed
     the step budget and :class:`BlowUpError` on non-finite states.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    budget = DEFAULT_MAX_STEPS if max_steps is None else max_steps
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("h must be positive and finite")
+    max_steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
+    if not max_steps >= 1:
+        raise ValueError("max_steps must be positive")
+    rhs, start, end, h = spec.system.rhs, spec.start, spec.end, float(h)
+    steps = max(1.0, np.ceil((end - start) / h - 1e-12))  # inf when h is subnormal
+    if steps > max_steps:
+        raise _step_limit(start)
+    n_steps = int(steps)
+    etas = np.empty(n_steps + 1)
+    states = np.empty((n_steps + 1, spec.system.dim))
+    derivs = np.empty_like(states)
+    y = spec.initial_state.copy()
+    eta = start
+    etas[0] = eta
+    states[0] = y
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        return _march_fixed(spec.system.rhs, spec.start, spec.end,
-                            spec.initial_state, float(h), budget)
+        for step in range(n_steps):
+            k1 = rhs(eta, y)
+            if not _finite(k1):
+                raise _blow_up(eta)
+            derivs[step] = k1
+            if step < n_steps - 1:
+                hi = h
+                eta_next = start + (step + 1) * h
+            else:
+                # The final step is shortened so the last node is exactly ``end``.
+                hi = end - eta
+                eta_next = end
+            y = _rk4(rhs, eta, y, k1, hi)
+            if not _finite(y):
+                raise _blow_up(eta_next)
+            eta = eta_next
+            etas[step + 1] = eta
+            states[step + 1] = y
+        k1 = rhs(end, y)
+        if not _finite(k1):
+            raise _blow_up(end)
+        derivs[n_steps] = k1
+        return Trajectory(etas, states, derivs)
 
 
 def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Trajectory:
     """Integrate with step-doubling error control.
+
+    Each attempt takes one full RK4 step and two half steps.  The accepted
+    state is the Richardson extrapolation of the two-half-step result; the
+    raw difference drives the ``(tol/err)^(1/5)`` step update.
 
     Parameters
     ----------
@@ -337,13 +276,63 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
     BlowUpError, StepUnderflowError, StepLimitError
     """
     control = StepControl() if control is None else control
-    max_step = control.resolved_max_step(spec.end - spec.start)
+    rhs, start, end = spec.system.rhs, spec.start, spec.end
+    abs_tol, rel_tol, safety = control.abs_tol, control.rel_tol, control.safety
+    min_step, max_steps = control.min_step, control.max_steps
+    max_step = (end - start) / 4.0 if control.max_step is None else control.max_step
+    etas = np.empty(256)
+    states = np.empty((256, spec.system.dim))
+    derivs = np.empty_like(states)
+    y = spec.initial_state.copy()
+    eta = start
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        return _march_adaptive(spec.system.rhs, spec.start, spec.end,
-                               spec.initial_state, control.abs_tol,
-                               control.rel_tol, control.initial_step,
-                               control.min_step, max_step, control.safety,
-                               control.max_steps)
+        k1 = rhs(eta, y)
+        if not _finite(k1):
+            raise _blow_up(eta)
+        etas[0] = eta
+        states[0] = y
+        derivs[0] = k1
+        n = 1
+        h = min(control.initial_step, end - start, max_step)
+        attempts = 0
+        while eta < end:
+            last = False
+            if eta + h >= end:
+                h = end - eta
+                last = True
+            attempts += 1
+            if attempts > max_steps:
+                raise _step_limit(eta)
+            hh = 0.5 * h
+            y_full = _rk4(rhs, eta, y, k1, h)
+            y_mid = _rk4(rhs, eta, y, k1, hh)
+            mid = eta + hh
+            y_two = _rk4(rhs, mid, y_mid, rhs(mid, y_mid), hh)
+            if not (_finite(y_full) and _finite(y_two)):
+                raise _blow_up(eta)
+            ratio = float(np.max(np.abs(y_two - y_full) / (abs_tol + rel_tol * np.abs(y))))
+            if ratio <= 1.0:
+                y = y_two + (y_two - y_full) / 15.0
+                eta = end if last else eta + h
+                k1 = rhs(eta, y)
+                if not (_finite(y) and _finite(k1)):
+                    raise _blow_up(eta)
+                if n == etas.size:
+                    etas, states, derivs = (np.concatenate((a, np.empty_like(a)))
+                                            for a in (etas, states, derivs))
+                etas[n] = eta
+                states[n] = y
+                derivs[n] = k1
+                n += 1
+                fac = 5.0 if ratio == 0.0 else min(safety * ratio ** -0.2, 5.0)
+                h = max(min(h * fac, max_step), min_step)
+            else:
+                h *= max(safety * ratio ** -0.2, 0.1)
+                if h < min_step:
+                    raise StepUnderflowError(
+                        f"required step fell below min_step near eta = {eta:.6g}", eta
+                    )
+        return Trajectory(etas[:n].copy(), states[:n].copy(), derivs[:n].copy())
 
 
 def state_at(trajectory: Trajectory, eta: float) -> np.ndarray:
@@ -353,7 +342,7 @@ def state_at(trajectory: Trajectory, eta: float) -> np.ndarray:
     values as slopes, so cubic solutions are reproduced to rounding.
     """
     etas = trajectory.etas
-    if eta < etas[0] or eta > etas[-1]:
+    if not etas[0] <= eta <= etas[-1]:
         raise ValueError(
             f"eta = {eta:.6g} outside trajectory span [{etas[0]:.6g}, {etas[-1]:.6g}]"
         )

@@ -48,7 +48,8 @@ class ItmConfig:
 
     Secant mode consumes both seeds ``h0`` and ``h1``; Newton mode starts
     from ``h0`` alone and requires the negative-curvature branch.
-    ``max_iterations`` caps the total number of Gamma evaluations.
+    ``max_iterations`` caps the total number of Gamma evaluations, except
+    that secant always evaluates both seeds (``max_iterations=1`` gives 2).
     """
 
     root_finder: str = SECANT
@@ -80,7 +81,7 @@ class ItmConfig:
             raise ValueError(f"eta_inf_star must be positive and finite, got {self.eta_inf_star}")
         if not (self.gamma_tol > 0 and math.isfinite(self.gamma_tol)):
             raise ValueError(f"gamma_tol must be positive and finite, got {self.gamma_tol}")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be positive")
 
 
@@ -187,55 +188,48 @@ def solve_sakiadis(config: ItmConfig | None = None) -> ItmResult:
     Newton derivative, and propagates integration failures.
     """
     config = ItmConfig() if config is None else config
-    with_derivative = config.root_finder == NEWTON
+    newton = config.root_finder == NEWTON
     iterates: list[ItmIterate] = []
+    latest = []  # (evaluation, starred trajectory) of the last two probes, newest first
 
     def probe(h_star):
         evaluation, traj = _evaluate(h_star, config.sign, config.eta_inf_star,
-                                     config.step_control, with_derivative)
+                                     config.step_control, newton)
         # The missing initial curvature maps back as lam^-3 f*''(0).
         iterates.append(ItmIterate(j=len(iterates), h_star=float(h_star),
                                    lam=evaluation.lam, gamma=evaluation.gamma,
                                    wall_shear=float(config.sign) / evaluation.lam ** 3))
-        return evaluation, traj
+        latest[:] = [(evaluation, traj)] + latest[:1]
 
-    if config.root_finder == SECANT:
-        prev_ev, prev_traj = probe(config.h0)
-        cur_ev, cur_traj = probe(config.h1)
-        if abs(cur_ev.gamma) <= config.gamma_tol:
-            return _finalize(iterates, iterates[1], cur_traj)
-        if abs(prev_ev.gamma) <= config.gamma_tol:
-            return _finalize(iterates, iterates[0], prev_traj)
-        while len(iterates) < config.max_iterations:
-            if cur_ev.gamma == prev_ev.gamma:
-                raise RootFinderBreakdownError(
-                    f"secant breakdown: Gamma({prev_ev.h_star:.6g}) == Gamma({cur_ev.h_star:.6g})"
-                )
-            h_next = cur_ev.h_star - cur_ev.gamma * (cur_ev.h_star - prev_ev.h_star) \
-                / (cur_ev.gamma - prev_ev.gamma)
-            if h_next <= 0.0:
-                h_next = 0.5 * cur_ev.h_star
-            prev_ev = cur_ev
-            cur_ev, cur_traj = probe(h_next)
-            if abs(cur_ev.gamma) <= config.gamma_tol:
-                return _finalize(iterates, iterates[-1], cur_traj)
-        return ItmResult(iterates=iterates, converged=False)
-
-    cur_ev, cur_traj = probe(config.h0)
+    probe(config.h0)
+    if not newton:
+        probe(config.h1)
     while True:
-        if abs(cur_ev.gamma) <= config.gamma_tol:
-            return _finalize(iterates, iterates[-1], cur_traj)
+        # Only the secant seed h0 can converge as the older of the two probes.
+        for age, (evaluation, traj) in enumerate(latest):
+            if abs(evaluation.gamma) <= config.gamma_tol:
+                return _finalize(iterates, iterates[-1 - age], traj)
         if len(iterates) >= config.max_iterations:
             return ItmResult(iterates=iterates, converged=False)
-        if abs(cur_ev.dgamma_dh) < _MIN_DERIVATIVE:
-            raise RootFinderBreakdownError(
-                f"newton breakdown: |dGamma/dh*| = {abs(cur_ev.dgamma_dh):.3g} at "
-                f"h* = {cur_ev.h_star:.6g}"
-            )
-        h_next = cur_ev.h_star - cur_ev.gamma / cur_ev.dgamma_dh
+        cur = latest[0][0]
+        if newton:
+            if abs(cur.dgamma_dh) < _MIN_DERIVATIVE:
+                raise RootFinderBreakdownError(
+                    f"newton breakdown: |dGamma/dh*| = {abs(cur.dgamma_dh):.3g} at "
+                    f"h* = {cur.h_star:.6g}"
+                )
+            h_next = cur.h_star - cur.gamma / cur.dgamma_dh
+        else:
+            prev = latest[1][0]
+            if cur.gamma == prev.gamma:
+                raise RootFinderBreakdownError(
+                    f"secant breakdown: Gamma({prev.h_star:.6g}) == Gamma({cur.h_star:.6g})"
+                )
+            h_next = cur.h_star - cur.gamma * (cur.h_star - prev.h_star) \
+                / (cur.gamma - prev.gamma)
         if h_next <= 0.0:
-            h_next = 0.5 * cur_ev.h_star
-        cur_ev, cur_traj = probe(h_next)
+            h_next = 0.5 * cur.h_star
+        probe(h_next)
 
 
 def solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0, 10.0),

@@ -52,8 +52,9 @@ class TestRk4Step:
         assert far ** -1.5 == pytest.approx(0.332057, abs=1e-5)
 
     def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            rk4_step(EXP_1D, 0.0, np.array([1.0]), 0.0)
+        for h in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="h must be positive and finite"):
+                rk4_step(EXP_1D, 0.0, np.array([1.0]), h)
 
     def test_rejects_nonfinite_state(self):
         with pytest.raises(ValueError):
@@ -102,6 +103,8 @@ class TestIntegrateFixed:
         spec = IvpSpec(0.0, 10.0, np.array([1.0]), EXP_1D)
         with pytest.raises(StepLimitError):
             integrate_fixed(spec, 1e-9)
+        with pytest.raises(StepLimitError):
+            integrate_fixed(spec, 5e-324)  # the step count overflows to inf
 
     def test_order_four_convergence(self):
         spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
@@ -217,8 +220,9 @@ class TestStateAt:
     def test_outside_span(self):
         spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
         traj = integrate_adaptive(spec)
-        with pytest.raises(ValueError):
-            state_at(traj, 1.5)
+        for eta in (1.5, -0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="outside trajectory span"):
+                state_at(traj, eta)
 
 
 class TestValidation:
@@ -240,7 +244,21 @@ class TestValidation:
         {"initial_step": 3.0, "max_step": 1.0},
         {"max_steps": 0},
         {"abs_tol": math.inf, "rel_tol": math.inf},
+        {"max_steps": math.nan},
     ])
     def test_step_control_checks(self, kwargs):
         with pytest.raises(ValueError):
             StepControl(**kwargs)
+
+    @pytest.mark.parametrize("h, max_steps, message", [
+        (0.0, None, "h must be positive and finite"),
+        (math.nan, None, "h must be positive and finite"),
+        (math.inf, None, "h must be positive and finite"),
+        (0.1, 0, "max_steps must be positive"),
+        (0.1, -5, "max_steps must be positive"),
+        (0.1, math.nan, "max_steps must be positive"),
+    ])
+    def test_integrate_fixed_checks(self, h, max_steps, message):
+        spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
+        with pytest.raises(ValueError, match=message):
+            integrate_fixed(spec, h, max_steps)

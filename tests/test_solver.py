@@ -85,6 +85,19 @@ class TestSecant:
         assert res.gamma_evaluations == 2
         assert res.final_h_star == 3.5
 
+    def test_first_seed_converges(self):
+        # both seeds are probed; the older one is accepted when only it converges
+        res = solve_sakiadis(ItmConfig(h0=ROOT_H, h1=3.5, gamma_tol=1e-5))
+        assert res.converged
+        assert res.gamma_evaluations == 2
+        assert res.final_h_star == ROOT_H
+        assert res.final_wall_shear == res.iterates[0].wall_shear
+
+    def test_single_iteration_still_probes_both_seeds(self):
+        res = solve_sakiadis(ItmConfig(max_iterations=1))
+        assert not res.converged
+        assert res.gamma_evaluations == 2
+
     def test_positivity_safeguard_halves(self):
         # nearly flat Gamma at large h* throws the secant step negative
         cfg = ItmConfig(h0=19.0, h1=20.0, max_iterations=3)
@@ -129,6 +142,13 @@ class TestNewton:
             assert it.h_star == pytest.approx(h_ref, abs=1e-3)
             assert it.lam == pytest.approx(lam_ref, abs=1e-3)
             assert it.wall_shear == pytest.approx(shear_ref, abs=1e-3)
+
+    def test_seed_converges(self):
+        res = solve_sakiadis(ItmConfig(root_finder="newton", h0=ROOT_H, h1=None,
+                                       gamma_tol=1e-5))
+        assert res.converged
+        assert res.gamma_evaluations == 1
+        assert res.final_h_star == ROOT_H
 
     def test_monotone_approach_from_left(self):
         res = solve_sakiadis(ItmConfig(root_finder="newton"))
@@ -188,6 +208,7 @@ class TestItmConfigValidation:
         {"max_iterations": 0},
         {"gamma_tol": math.inf},
         {"eta_inf_star": math.inf},
+        {"max_iterations": math.nan},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
