@@ -1,8 +1,7 @@
 """Classical fourth-order Runge-Kutta integration for small first-order systems.
 
 Provides a fixed-step march and an adaptive step-doubling scheme (one full
-step checked against two half steps, Richardson-extrapolated acceptance),
-plus cubic-Hermite dense output over the accepted samples.
+step checked against two half steps, Richardson-extrapolated acceptance).
 """
 
 import math
@@ -14,8 +13,7 @@ import numpy as np
 __all__ = [
     "BACKEND", "OdeSystem", "IvpSpec", "StepControl", "Trajectory",
     "IntegrationError", "BlowUpError", "StepUnderflowError", "StepLimitError",
-    "DEFAULT_MAX_STEPS", "rk4_step", "integrate_fixed", "integrate_adaptive",
-    "state_at",
+    "DEFAULT_MAX_STEPS", "integrate_fixed", "integrate_adaptive",
 ]
 
 # The one integration kernel: interpreted Python stepping over numpy vectors.
@@ -24,6 +22,9 @@ BACKEND = "numpy"
 
 # Step budget of every integration unless a caller passes its own.
 DEFAULT_MAX_STEPS = 10 ** 6
+
+# Damping of the adaptive march's (tol/err)^(1/5) step-size update.
+_SAFETY = 0.9
 
 
 class IntegrationError(RuntimeError):
@@ -100,7 +101,6 @@ class StepControl:
     initial_step: float = 0.01
     min_step: float = 1e-12
     max_step: float | None = None
-    safety: float = 0.9
     max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
@@ -108,8 +108,6 @@ class StepControl:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite")
-        if not 0.0 < self.safety < 1.0:
-            raise ValueError("safety must lie in (0, 1)")
         if self.min_step > self.initial_step:
             raise ValueError("min_step must not exceed initial_step")
         if self.max_step is not None:
@@ -122,7 +120,7 @@ class StepControl:
 
 
 class Trajectory:
-    """Accepted integration samples with stored right-hand-side values.
+    """Accepted integration samples.
 
     Attributes
     ----------
@@ -131,18 +129,14 @@ class Trajectory:
         and the last equals its end.
     states : ndarray, shape (n, dim)
         State at each sample.
-    derivs : ndarray, shape (n, dim)
-        Right-hand side at each sample, used for dense output.
     """
 
-    __slots__ = ("etas", "states", "derivs")
+    __slots__ = ("etas", "states")
 
-    def __init__(self, etas, states, derivs):
+    def __init__(self, etas, states):
         etas = np.asarray(etas, dtype=float)
         states = np.asarray(states, dtype=float)
-        derivs = np.asarray(derivs, dtype=float)
-        if etas.ndim != 1 or states.ndim != 2 or states.shape[0] != etas.size \
-                or derivs.shape != states.shape:
+        if etas.ndim != 1 or states.ndim != 2 or states.shape[0] != etas.size:
             raise ValueError("inconsistent trajectory arrays")
         if etas.size < 2:
             raise ValueError("a trajectory needs at least two samples")
@@ -150,7 +144,6 @@ class Trajectory:
             raise ValueError("trajectory etas must be strictly increasing")
         self.etas = etas
         self.states = states
-        self.derivs = derivs
 
     @property
     def dim(self) -> int:
@@ -184,23 +177,6 @@ def _step_limit(eta) -> StepLimitError:
     return StepLimitError(f"exceeded step budget near eta = {eta:.6g}", eta)
 
 
-def rk4_step(system: OdeSystem, eta: float, state: np.ndarray, h: float) -> np.ndarray:
-    """One classical four-stage RK4 update of ``state`` over ``[eta, eta + h]``."""
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError("h must be positive and finite")
-    y = np.asarray(state, dtype=float)
-    if y.shape != (system.dim,):
-        raise ValueError(f"state shape {y.shape} does not match system dimension {system.dim}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("state must be finite")
-    rhs = system.rhs
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        out = _rk4(rhs, eta, y, rhs(eta, y), h)
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError(f"non-finite RK4 update at eta = {eta:.6g}", eta)
-    return out
-
-
 def integrate_fixed(spec: IvpSpec, h: float, max_steps: int | None = None) -> Trajectory:
     """Integrate with a uniform RK4 grid of step ``h``.
 
@@ -218,19 +194,14 @@ def integrate_fixed(spec: IvpSpec, h: float, max_steps: int | None = None) -> Tr
     if steps > max_steps:
         raise _step_limit(start)
     n_steps = int(steps)
-    etas = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, spec.system.dim))
-    derivs = np.empty_like(states)
     y = spec.initial_state.copy()
     eta = start
-    etas[0] = eta
-    states[0] = y
+    etas, states = [eta], [y]
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for step in range(n_steps):
             k1 = rhs(eta, y)
             if not _finite(k1):
                 raise _blow_up(eta)
-            derivs[step] = k1
             if step < n_steps - 1:
                 hi = h
                 eta_next = start + (step + 1) * h
@@ -242,13 +213,12 @@ def integrate_fixed(spec: IvpSpec, h: float, max_steps: int | None = None) -> Tr
             if not _finite(y):
                 raise _blow_up(eta_next)
             eta = eta_next
-            etas[step + 1] = eta
-            states[step + 1] = y
-        k1 = rhs(end, y)
-        if not _finite(k1):
+            etas.append(eta)
+            states.append(y)
+        # The slope at the end is checked like the slope at every other node.
+        if not _finite(rhs(end, y)):
             raise _blow_up(end)
-        derivs[n_steps] = k1
-        return Trajectory(etas, states, derivs)
+        return Trajectory(etas, states)
 
 
 def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Trajectory:
@@ -277,22 +247,16 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
     """
     control = StepControl() if control is None else control
     rhs, start, end = spec.system.rhs, spec.start, spec.end
-    abs_tol, rel_tol, safety = control.abs_tol, control.rel_tol, control.safety
+    abs_tol, rel_tol = control.abs_tol, control.rel_tol
     min_step, max_steps = control.min_step, control.max_steps
     max_step = (end - start) / 4.0 if control.max_step is None else control.max_step
-    etas = np.empty(256)
-    states = np.empty((256, spec.system.dim))
-    derivs = np.empty_like(states)
     y = spec.initial_state.copy()
     eta = start
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         k1 = rhs(eta, y)
         if not _finite(k1):
             raise _blow_up(eta)
-        etas[0] = eta
-        states[0] = y
-        derivs[0] = k1
-        n = 1
+        etas, states = [eta], [y]
         h = min(control.initial_step, end - start, max_step)
         attempts = 0
         while eta < end:
@@ -317,48 +281,15 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
                 k1 = rhs(eta, y)
                 if not (_finite(y) and _finite(k1)):
                     raise _blow_up(eta)
-                if n == etas.size:
-                    etas, states, derivs = (np.concatenate((a, np.empty_like(a)))
-                                            for a in (etas, states, derivs))
-                etas[n] = eta
-                states[n] = y
-                derivs[n] = k1
-                n += 1
-                fac = 5.0 if ratio == 0.0 else min(safety * ratio ** -0.2, 5.0)
+                etas.append(eta)
+                states.append(y)
+                fac = 5.0 if ratio == 0.0 else min(_SAFETY * ratio ** -0.2, 5.0)
                 h = max(min(h * fac, max_step), min_step)
             else:
-                h *= max(safety * ratio ** -0.2, 0.1)
+                h *= max(_SAFETY * ratio ** -0.2, 0.1)
                 if h < min_step:
                     raise StepUnderflowError(
                         f"required step fell below min_step near eta = {eta:.6g}", eta
                     )
-        return Trajectory(etas[:n].copy(), states[:n].copy(), derivs[:n].copy())
+        return Trajectory(etas, states)
 
-
-def state_at(trajectory: Trajectory, eta: float) -> np.ndarray:
-    """State at ``eta`` by cubic Hermite interpolation between accepted samples.
-
-    Exact (bit-for-bit) at sample points; uses the stored right-hand-side
-    values as slopes, so cubic solutions are reproduced to rounding.
-    """
-    etas = trajectory.etas
-    if not etas[0] <= eta <= etas[-1]:
-        raise ValueError(
-            f"eta = {eta:.6g} outside trajectory span [{etas[0]:.6g}, {etas[-1]:.6g}]"
-        )
-    idx = int(np.searchsorted(etas, eta, side="left"))
-    if idx < etas.size and etas[idx] == eta:
-        return trajectory.states[idx].copy()
-    lo = idx - 1
-    t0, t1 = etas[lo], etas[lo + 1]
-    h = t1 - t0
-    s = (eta - t0) / h
-    y0, y1 = trajectory.states[lo], trajectory.states[lo + 1]
-    f0, f1 = trajectory.derivs[lo], trajectory.derivs[lo + 1]
-    s2 = s * s
-    s3 = s2 * s
-    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    h10 = s3 - 2.0 * s2 + s
-    h01 = -2.0 * s3 + 3.0 * s2
-    h11 = s3 - s2
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1

@@ -7,6 +7,7 @@ failed samples rather than aborting the sweep.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ class ScanGrid:
             raise ValueError(f"h_min must be positive and finite, got {self.h_min}")
         if not (self.h_max > self.h_min and math.isfinite(self.h_max)):
             raise ValueError("h_max must be finite and exceed h_min")
+        try:
+            operator.index(self.count)
+        except TypeError:
+            raise ValueError(f"count must be an integer, got {self.count!r}") from None
         if self.count < 2:
             raise ValueError("count must be at least 2")
         if self.spacing not in ("linear", "logarithmic"):

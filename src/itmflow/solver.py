@@ -136,8 +136,7 @@ def _evaluate(h_star, sign, eta_inf_star, control, with_derivative):
         far = float(traj.states[-1, 1])
         sensitivity = float(traj.states[-1, 4])
         evaluation = GammaEvaluation.from_far_field(h_star, far, sensitivity)
-        traj3 = Trajectory(traj.etas, traj.states[:, :3], traj.derivs[:, :3])
-        return evaluation, traj3
+        return evaluation, Trajectory(traj.etas, traj.states[:, :3])
     spec = IvpSpec(0.0, eta_inf_star, sakiadis_star_ic(h_star, sign), SIMILARITY_SYSTEM)
     traj = integrate_adaptive(spec, control)
     far = float(traj.states[-1, 1])
@@ -271,8 +270,7 @@ def solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0, 10.0),
 
     etas = np.concatenate([pieces[0].etas] + [p.etas[1:] for p in pieces[1:]])
     states = np.vstack([pieces[0].states] + [p.states[1:] for p in pieces[1:]])
-    derivs = np.vstack([pieces[0].derivs] + [p.derivs[1:] for p in pieces[1:]])
-    star_traj = Trajectory(etas, states, derivs)
+    star_traj = Trajectory(etas, states)
 
     far_slopes = [float(p.states[-1, 1]) for p in pieces]
     lambda_checks = [(boundary, topfer_reduce(far)[0])

@@ -77,21 +77,14 @@ def rescale_trajectory(lam: float, star_traj: Trajectory) -> Trajectory:
     """Map a starred (f, f', f'') trajectory back through the group.
 
     Each sample ``(eta*, f*, f*', f*'')`` becomes
-    ``(lam eta*, f*/lam, f*'/lam^2, f*''/lam^3)``; the stored right-hand
-    sides pick up one further power of ``lam`` because the abscissa is
-    stretched by it.
+    ``(lam eta*, f*/lam, f*'/lam^2, f*''/lam^3)``.
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"group parameter must be positive and finite, got {lam}")
     if star_traj.dim != 3:
         raise ValueError(f"rescaling expects a 3-component trajectory, got dim {star_traj.dim}")
     state_scale = np.array([lam ** -1, lam ** -2, lam ** -3])
-    deriv_scale = state_scale / lam
-    return Trajectory(
-        lam * star_traj.etas,
-        star_traj.states * state_scale,
-        star_traj.derivs * deriv_scale,
-    )
+    return Trajectory(lam * star_traj.etas, star_traj.states * state_scale)
 
 
 def topfer_reduce(far_slope: float) -> tuple[float, float]:
@@ -101,6 +94,6 @@ def topfer_reduce(far_slope: float) -> tuple[float, float]:
     ``wall_shear = far_slope**-1.5`` (the rescaled f''(0) for unit starred
     curvature).
     """
-    if not far_slope > 0:
-        raise ValueError(f"far slope must be positive, got {far_slope}")
+    if not (far_slope > 0 and math.isfinite(far_slope)):
+        raise ValueError(f"far slope must be positive and finite, got {far_slope}")
     return far_slope ** -0.5, far_slope ** -1.5

@@ -1,4 +1,4 @@
-"""Integrator tests: RK4 step, fixed and adaptive marches, dense output."""
+"""Integrator tests: RK4 step, fixed and adaptive marches."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from itmflow import (BlowUpError, IvpSpec, OdeSystem, StepControl,
                      StepLimitError, StepUnderflowError, blasius_star_ic,
-                     integrate_adaptive, integrate_fixed, rk4_step, state_at)
+                     integrate_adaptive, integrate_fixed)
 from itmflow.models import SIMILARITY_SYSTEM
 
 
@@ -33,14 +33,27 @@ HARMONIC = OdeSystem(_harmonic, 2)
 
 
 class TestRk4Step:
+    """One RK4 step: a fixed march whose span is a single step."""
+
     def test_zero_derivative_keeps_state(self):
-        out = rk4_step(ZERO_1D, 0.0, np.array([7.0]), 0.1)
-        assert out[0] == 7.0
+        spec = IvpSpec(0.0, 0.1, np.array([7.0]), ZERO_1D)
+        assert integrate_fixed(spec, 0.1).states[-1, 0] == 7.0
 
     def test_exponential_one_step(self):
-        out = rk4_step(EXP_1D, 0.0, np.array([1.0]), 0.1)
-        assert abs(out[0] - math.exp(0.1)) < 1e-7
+        spec = IvpSpec(0.0, 0.1, np.array([1.0]), EXP_1D)
+        traj = integrate_fixed(spec, 0.1)
+        assert len(traj) == 2
+        assert abs(traj.states[-1, 0] - math.exp(0.1)) < 1e-7
 
+    def test_blowup_carries_eta(self):
+        # 1e200 squared overflows in the first stage, at the step's start
+        spec = IvpSpec(2.0, 3.0, np.array([1e200]), OdeSystem(_square, 1))
+        with pytest.raises(BlowUpError) as err:
+            integrate_fixed(spec, 1.0)
+        assert err.value.eta == 2.0
+
+
+class TestIntegrateFixed:
     def test_blasius_hand_march_step_tenth(self):
         # classical fixed grid 0.1 from unit curvature out to eta* = 6
         spec = IvpSpec(0.0, 6.0, blasius_star_ic(), SIMILARITY_SYSTEM)
@@ -51,23 +64,6 @@ class TestRk4Step:
         assert far == pytest.approx(2.08540824, abs=1e-6)  # frozen, rtol=1e-12 reference
         assert far ** -1.5 == pytest.approx(0.332057, abs=1e-5)
 
-    def test_rejects_nonpositive_step(self):
-        for h in (0.0, -0.1, math.nan, math.inf):
-            with pytest.raises(ValueError, match="h must be positive and finite"):
-                rk4_step(EXP_1D, 0.0, np.array([1.0]), h)
-
-    def test_rejects_nonfinite_state(self):
-        with pytest.raises(ValueError):
-            rk4_step(EXP_1D, 0.0, np.array([math.nan]), 0.1)
-
-    def test_blowup_carries_eta(self):
-        sys = OdeSystem(_square, 1)
-        with pytest.raises(BlowUpError) as err:
-            rk4_step(sys, 2.0, np.array([1e200]), 1.0)
-        assert err.value.eta == 2.0
-
-
-class TestIntegrateFixed:
     def test_constant_grid_and_samples(self):
         spec = IvpSpec(0.0, 10.0, np.array([3.0]), ZERO_1D)
         traj = integrate_fixed(spec, 0.5)
@@ -153,7 +149,6 @@ class TestIntegrateAdaptive:
         b = integrate_adaptive(spec)
         assert np.array_equal(a.etas, b.etas)
         assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.derivs, b.derivs)
 
     def test_nonfinite_rhs_raises_blowup(self):
         def bad(eta, y):
@@ -186,45 +181,6 @@ class TestIntegrateAdaptive:
             integrate_adaptive(spec, control)
 
 
-class TestStateAt:
-    def test_exact_at_samples(self):
-        spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
-        traj = integrate_adaptive(spec)
-        for i in (0, len(traj) // 2, len(traj) - 1):
-            out = state_at(traj, float(traj.etas[i]))
-            assert np.array_equal(out, traj.states[i])
-
-    def test_exponential_midpoint(self):
-        spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
-        traj = integrate_adaptive(spec, StepControl(abs_tol=1e-8, rel_tol=1e-8))
-        out = state_at(traj, 0.5)
-        assert abs(out[0] - math.sqrt(math.e)) <= 1e-6
-
-    def test_reproduces_cubics(self):
-        etas = np.array([0.0, 0.7, 1.9, 3.0])
-        states = (etas ** 3).reshape(-1, 1)
-        derivs = (3.0 * etas ** 2).reshape(-1, 1)
-        from itmflow import Trajectory
-        traj = Trajectory(etas, states, derivs)
-        for q in (0.31, 1.25, 2.6):
-            assert state_at(traj, q)[0] == pytest.approx(q ** 3, abs=1e-12)
-
-    def test_linear_solution_exact(self):
-        etas = np.array([0.0, 1.0, 2.5])
-        states = (2.0 * etas).reshape(-1, 1)
-        derivs = np.full((3, 1), 2.0)
-        from itmflow import Trajectory
-        traj = Trajectory(etas, states, derivs)
-        assert state_at(traj, 1.7)[0] == pytest.approx(3.4, abs=1e-14)
-
-    def test_outside_span(self):
-        spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
-        traj = integrate_adaptive(spec)
-        for eta in (1.5, -0.5, math.inf, math.nan):
-            with pytest.raises(ValueError, match="outside trajectory span"):
-                state_at(traj, eta)
-
-
 class TestValidation:
     def test_ivp_spec_checks(self):
         with pytest.raises(ValueError):
@@ -234,12 +190,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             IvpSpec(0.0, 1.0, np.array([math.inf]), EXP_1D)
         with pytest.raises(ValueError):
+            IvpSpec(0.0, 1.0, np.array([math.nan]), EXP_1D)
+        with pytest.raises(ValueError):
             IvpSpec(0.0, math.inf, np.array([1.0]), EXP_1D)
 
     @pytest.mark.parametrize("kwargs", [
         {"abs_tol": 0.0},
         {"rel_tol": -1e-6},
-        {"safety": 1.0},
         {"min_step": 0.1, "initial_step": 0.01},
         {"initial_step": 3.0, "max_step": 1.0},
         {"max_steps": 0},
@@ -252,6 +209,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("h, max_steps, message", [
         (0.0, None, "h must be positive and finite"),
+        (-0.1, None, "h must be positive and finite"),
         (math.nan, None, "h must be positive and finite"),
         (math.inf, None, "h must be positive and finite"),
         (0.1, 0, "max_steps must be positive"),

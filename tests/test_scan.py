@@ -40,6 +40,8 @@ class TestGrid:
         {"h_min": 1.0, "h_max": 2.0, "count": 1},
         {"h_min": 1.0, "h_max": 2.0, "count": 5, "spacing": "cubic"},
         {"h_min": 1.0, "h_max": math.inf, "count": 5},
+        {"h_min": 0.5, "h_max": 3.5, "count": 2.5},
+        {"h_min": 0.5, "h_max": 3.5, "count": math.nan},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

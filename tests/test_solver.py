@@ -114,8 +114,7 @@ class TestSecant:
         assert res.rescaled_solution is None
 
     def test_flat_gamma_breaks_down(self, monkeypatch):
-        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 3)) + [0.0, 1.0, -1.0],
-                          np.zeros((2, 3)))
+        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 3)) + [0.0, 1.0, -1.0])
 
         def fake_evaluate(h_star, sign, eta_inf, control, with_derivative):
             return GammaEvaluation(h_star, 0.0, 1.2, 0.5), traj
@@ -163,8 +162,7 @@ class TestNewton:
         assert abs(newton.final_wall_shear - secant.final_wall_shear) <= 1e-6
 
     def test_vanishing_derivative_breaks_down(self, monkeypatch):
-        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 3)) + [0.0, 1.0, -1.0],
-                          np.zeros((2, 3)))
+        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 3)) + [0.0, 1.0, -1.0])
 
         def fake_evaluate(h_star, sign, eta_inf, control, with_derivative):
             return GammaEvaluation(h_star, 0.0, 1.2, 0.5, dgamma_dh=0.0), traj
