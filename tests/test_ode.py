@@ -197,6 +197,7 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"abs_tol": 0.0},
         {"rel_tol": -1e-6},
+        {"max_step": -1.0},
         {"min_step": 0.1, "initial_step": 0.01},
         {"initial_step": 3.0, "max_step": 1.0},
         {"max_steps": 0},
