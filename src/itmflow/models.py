@@ -23,23 +23,14 @@ VALID_SIGNS = (1, -1)
 
 def _similarity_rhs(eta, y):
     """(f, f', f'') -> (f', f'', -f f''/2)."""
-    out = np.empty(3)
-    out[0] = y[1]
-    out[1] = y[2]
-    out[2] = -0.5 * y[0] * y[2]
-    return out
+    f, fp, fpp = y.tolist()
+    return np.array([fp, fpp, -0.5 * f * fpp])
 
 
 def _augmented_rhs(eta, y):
     """(u1..u6) -> (u2, u3, -u1 u3/2, u5, u6, -(u4 u3 + u1 u6)/2)."""
-    out = np.empty(6)
-    out[0] = y[1]
-    out[1] = y[2]
-    out[2] = -0.5 * y[0] * y[2]
-    out[3] = y[4]
-    out[4] = y[5]
-    out[5] = -0.5 * (y[3] * y[2] + y[0] * y[5])
-    return out
+    u1, u2, u3, u4, u5, u6 = y.tolist()
+    return np.array([u2, u3, -0.5 * u1 * u3, u5, u6, -0.5 * (u4 * u3 + u1 * u6)])
 
 
 SIMILARITY_SYSTEM = OdeSystem(rhs=_similarity_rhs, dim=3)

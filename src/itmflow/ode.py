@@ -2,9 +2,15 @@
 
 Provides a fixed-step march and an adaptive step-doubling scheme (one full
 step checked against two half steps, Richardson-extrapolated acceptance).
+
+``rhs(eta, y)`` receives a fresh float ndarray of shape ``(dim,)``, must return
+an ndarray of the same shape and must not modify its argument.  Between calls
+the marches carry states and slopes as Python floats, which on a few elements
+costs far less than numpy dispatch and gives bit-identical results.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,7 +22,7 @@ __all__ = [
     "DEFAULT_MAX_STEPS", "integrate_fixed", "integrate_adaptive",
 ]
 
-# The one integration kernel: interpreted Python stepping over numpy vectors.
+# The one integration kernel: interpreted Python stepping over float lists.
 # Reported in run metadata (``--verbose``); not a setting.
 BACKEND = "numpy"
 
@@ -49,12 +55,20 @@ class StepLimitError(IntegrationError):
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """First-order system ``dy/deta = rhs(eta, y)`` of fixed dimension."""
+    """First-order system ``dy/deta = rhs(eta, y)`` of fixed dimension.
+
+    ``rhs`` receives a fresh float ndarray of shape ``(dim,)``, must return an
+    ndarray of the same shape and must not modify its argument.
+    """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
     dim: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.dim)
+        except TypeError:
+            raise ValueError(f"system dimension must be an integer, got {self.dim!r}") from None
         if self.dim < 1:
             raise ValueError("system dimension must be positive")
 
@@ -158,11 +172,18 @@ class Trajectory:
 
 
 def _rk4(rhs, eta, y, k1, h):
-    """One classical four-stage RK4 update over ``[eta, eta + h]``, given ``k1 = rhs(eta, y)``."""
-    k2 = rhs(eta + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(eta + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(eta + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical four-stage RK4 update over ``[eta, eta + h]``, given ``k1 = rhs(eta, y)``.
+
+    States and slopes are float lists; every operation keeps the order of the
+    ndarray form ``y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``.
+    """
+    hh = 0.5 * h
+    mid = eta + hh
+    k2 = rhs(mid, np.array([a + hh * b for a, b in zip(y, k1)])).tolist()
+    k3 = rhs(mid, np.array([a + hh * b for a, b in zip(y, k2)])).tolist()
+    k4 = rhs(eta + h, np.array([a + h * b for a, b in zip(y, k3)])).tolist()
+    h6 = h / 6.0
+    return [a + h6 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
 
 
 def _finite(v) -> bool:
@@ -175,6 +196,17 @@ def _blow_up(eta) -> BlowUpError:
 
 def _step_limit(eta) -> StepLimitError:
     return StepLimitError(f"exceeded step budget near eta = {eta:.6g}", eta)
+
+
+def _first_slope(rhs, eta, state, dim) -> list:
+    """``rhs(eta, state)`` as a list, checked for shape ``(dim,)`` and finiteness."""
+    k = rhs(eta, state)
+    if k.shape != (dim,):
+        raise ValueError(f"rhs returned shape {k.shape}, system dimension is {dim}")
+    k = k.tolist()
+    if not _finite(k):
+        raise _blow_up(eta)
+    return k
 
 
 def integrate_fixed(spec: IvpSpec, h: float, max_steps: int | None = None) -> Trajectory:
@@ -194,30 +226,28 @@ def integrate_fixed(spec: IvpSpec, h: float, max_steps: int | None = None) -> Tr
     if steps > max_steps:
         raise _step_limit(start)
     n_steps = int(steps)
-    y = spec.initial_state.copy()
+    state = spec.initial_state.copy()
+    y = state.tolist()
     eta = start
-    etas, states = [eta], [y]
+    etas, states = [eta], [state]
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        k1 = _first_slope(rhs, eta, state, spec.system.dim)
         for step in range(n_steps):
-            k1 = rhs(eta, y)
-            if not _finite(k1):
-                raise _blow_up(eta)
             if step < n_steps - 1:
-                hi = h
-                eta_next = start + (step + 1) * h
+                hi, eta_next = h, start + (step + 1) * h
             else:
                 # The final step is shortened so the last node is exactly ``end``.
-                hi = end - eta
-                eta_next = end
+                hi, eta_next = end - eta, end
             y = _rk4(rhs, eta, y, k1, hi)
             if not _finite(y):
                 raise _blow_up(eta_next)
             eta = eta_next
+            state = np.array(y)
+            k1 = rhs(eta, state).tolist()  # checked at every node, the end included
+            if not _finite(k1):
+                raise _blow_up(eta)
             etas.append(eta)
-            states.append(y)
-        # The slope at the end is checked like the slope at every other node.
-        if not _finite(rhs(end, y)):
-            raise _blow_up(end)
+            states.append(state)
         return Trajectory(etas, states)
 
 
@@ -226,37 +256,24 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
 
     Each attempt takes one full RK4 step and two half steps.  The accepted
     state is the Richardson extrapolation of the two-half-step result; the
-    raw difference drives the ``(tol/err)^(1/5)`` step update.
+    raw difference drives the ``(tol/err)^(1/5)`` step update.  ``control``
+    defaults to :class:`StepControl()`.
 
-    Parameters
-    ----------
-    spec : IvpSpec
-        Problem definition.
-    control : StepControl, optional
-        Tolerances and step bounds; defaults to :class:`StepControl()`.
-
-    Returns
-    -------
-    Trajectory
-        Accepted samples including both endpoints (the last abscissa is
-        exactly ``spec.end``).
-
-    Raises
-    ------
-    BlowUpError, StepUnderflowError, StepLimitError
+    Returns the accepted samples, both endpoints included (the last abscissa
+    is exactly ``spec.end``).  Raises :class:`BlowUpError`,
+    :class:`StepUnderflowError` or :class:`StepLimitError`.
     """
     control = StepControl() if control is None else control
     rhs, start, end = spec.system.rhs, spec.start, spec.end
     abs_tol, rel_tol = control.abs_tol, control.rel_tol
     min_step, max_steps = control.min_step, control.max_steps
     max_step = (end - start) / 4.0 if control.max_step is None else control.max_step
-    y = spec.initial_state.copy()
+    state = spec.initial_state.copy()
+    y = state.tolist()
     eta = start
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        k1 = rhs(eta, y)
-        if not _finite(k1):
-            raise _blow_up(eta)
-        etas, states = [eta], [y]
+        k1 = _first_slope(rhs, eta, state, spec.system.dim)
+        etas, states = [eta], [state]
         h = min(control.initial_step, end - start, max_step)
         attempts = 0
         while eta < end:
@@ -271,18 +288,23 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
             y_full = _rk4(rhs, eta, y, k1, h)
             y_mid = _rk4(rhs, eta, y, k1, hh)
             mid = eta + hh
-            y_two = _rk4(rhs, mid, y_mid, rhs(mid, y_mid), hh)
+            y_two = _rk4(rhs, mid, y_mid, rhs(mid, np.array(y_mid)).tolist(), hh)
             if not (_finite(y_full) and _finite(y_two)):
                 raise _blow_up(eta)
-            ratio = float(np.max(np.abs(y_two - y_full) / (abs_tol + rel_tol * np.abs(y))))
+            errs = [abs(two - full) / (abs_tol + rel_tol * abs(v))
+                    for two, full, v in zip(y_two, y_full, y)]
+            # As np.max: the first NaN component (inf/inf under an extreme
+            # rel_tol) if there is one, which is truthy, else the largest.
+            ratio = next(filter(math.isnan, errs), None) or max(errs)
             if ratio <= 1.0:
-                y = y_two + (y_two - y_full) / 15.0
+                y = [two + (two - full) / 15.0 for two, full in zip(y_two, y_full)]
                 eta = end if last else eta + h
-                k1 = rhs(eta, y)
+                state = np.array(y)
+                k1 = rhs(eta, state).tolist()
                 if not (_finite(y) and _finite(k1)):
                     raise _blow_up(eta)
                 etas.append(eta)
-                states.append(y)
+                states.append(state)
                 fac = 5.0 if ratio == 0.0 else min(_SAFETY * ratio ** -0.2, 5.0)
                 h = max(min(h * fac, max_step), min_step)
             else:

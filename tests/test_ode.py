@@ -1,6 +1,7 @@
 """Integrator tests: RK4 step, fixed and adaptive marches."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,7 +182,49 @@ class TestIntegrateAdaptive:
             integrate_adaptive(spec, control)
 
 
+class TestRhsContract:
+    @pytest.mark.parametrize("integrate, args", [
+        (integrate_adaptive, (StepControl(abs_tol=1e-10, rel_tol=1e-10, initial_step=1.0),)),
+        (integrate_fixed, (0.3,)),
+    ], ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("system", [SIMILARITY_SYSTEM, OdeSystem(_square, 1)],
+                             ids=["similarity", "square"])
+    def test_rhs_receives_fresh_float_vector(self, integrate, args, system):
+        received = []
+
+        def recording(eta, y):
+            assert type(y) is np.ndarray
+            assert y.dtype == np.float64 and y.shape == (system.dim,)
+            received.append(y)
+            return system.rhs(eta, y)
+
+        spec = IvpSpec(0.0, 1.0, np.full(system.dim, 0.5), OdeSystem(recording, system.dim))
+        traj = integrate(spec, *args)
+        # Every call got its own array (all are still alive, so ids are unique).
+        assert len({id(y) for y in received}) == len(received)
+        if integrate is integrate_adaptive:
+            # One start call, 11 per accepted step and 10 per rejected one:
+            # the oversized first step must have been rejected.
+            assert len(received) > 1 + 11 * (len(traj) - 1)
+
+    @pytest.mark.parametrize("integrate, args", [
+        (integrate_adaptive, ()),
+        (integrate_fixed, (0.1,)),
+    ], ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("shape", [(1,), (2,), (4,), (1, 3)], ids=str)
+    def test_wrong_rhs_shape_is_rejected(self, integrate, args, shape):
+        spec = IvpSpec(0.0, 1.0, np.ones(3), OdeSystem(lambda eta, y: np.ones(shape), 3))
+        message = f"rhs returned shape {shape}, system dimension is 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            integrate(spec, *args)
+
+
 class TestValidation:
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, math.nan, "3"])
+    def test_ode_system_checks(self, dim):
+        with pytest.raises(ValueError, match="system dimension must be"):
+            OdeSystem(_identity, dim)
+
     def test_ivp_spec_checks(self):
         with pytest.raises(ValueError):
             IvpSpec(1.0, 0.5, np.array([1.0]), EXP_1D)

@@ -1,0 +1,199 @@
+"""The list-of-floats RK4 kernel against the ndarray kernel it replaced.
+
+``_rk4``, ``integrate_fixed`` and ``integrate_adaptive`` below are the
+ndarray versions, kept verbatim as the reference.  The library kernel carries
+states as Python floats but keeps every float operation in the same order,
+so trajectories, errors and the whole sequence of rhs calls must match bit
+for bit; regrouping any of the arithmetic fails here.
+"""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+
+from itmflow import (AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, IntegrationError,
+                     IvpSpec, OdeSystem, StepControl, StepUnderflowError,
+                     Trajectory, augmented_ic, blasius_star_ic,
+                     integrate_adaptive, integrate_fixed, sakiadis_star_ic)
+from itmflow.ode import (_SAFETY, DEFAULT_MAX_STEPS, _blow_up, _finite,
+                         _step_limit)
+
+
+def _rk4(rhs, eta, y, k1, h):
+    """One classical four-stage RK4 update over ``[eta, eta + h]``, given ``k1 = rhs(eta, y)``."""
+    k2 = rhs(eta + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(eta + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(eta + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_fixed(spec, h, max_steps=None):
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("h must be positive and finite")
+    max_steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
+    if not max_steps >= 1:
+        raise ValueError("max_steps must be positive")
+    rhs, start, end, h = spec.system.rhs, spec.start, spec.end, float(h)
+    steps = max(1.0, np.ceil((end - start) / h - 1e-12))  # inf when h is subnormal
+    if steps > max_steps:
+        raise _step_limit(start)
+    n_steps = int(steps)
+    y = spec.initial_state.copy()
+    eta = start
+    etas, states = [eta], [y]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for step in range(n_steps):
+            k1 = rhs(eta, y)
+            if not _finite(k1):
+                raise _blow_up(eta)
+            if step < n_steps - 1:
+                hi = h
+                eta_next = start + (step + 1) * h
+            else:
+                # The final step is shortened so the last node is exactly ``end``.
+                hi = end - eta
+                eta_next = end
+            y = _rk4(rhs, eta, y, k1, hi)
+            if not _finite(y):
+                raise _blow_up(eta_next)
+            eta = eta_next
+            etas.append(eta)
+            states.append(y)
+        # The slope at the end is checked like the slope at every other node.
+        if not _finite(rhs(end, y)):
+            raise _blow_up(end)
+        return Trajectory(etas, states)
+
+
+def reference_adaptive(spec, control=None):
+    control = StepControl() if control is None else control
+    rhs, start, end = spec.system.rhs, spec.start, spec.end
+    abs_tol, rel_tol = control.abs_tol, control.rel_tol
+    min_step, max_steps = control.min_step, control.max_steps
+    max_step = (end - start) / 4.0 if control.max_step is None else control.max_step
+    y = spec.initial_state.copy()
+    eta = start
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        k1 = rhs(eta, y)
+        if not _finite(k1):
+            raise _blow_up(eta)
+        etas, states = [eta], [y]
+        h = min(control.initial_step, end - start, max_step)
+        attempts = 0
+        while eta < end:
+            last = False
+            if eta + h >= end:
+                h = end - eta
+                last = True
+            attempts += 1
+            if attempts > max_steps:
+                raise _step_limit(eta)
+            hh = 0.5 * h
+            y_full = _rk4(rhs, eta, y, k1, h)
+            y_mid = _rk4(rhs, eta, y, k1, hh)
+            mid = eta + hh
+            y_two = _rk4(rhs, mid, y_mid, rhs(mid, y_mid), hh)
+            if not (_finite(y_full) and _finite(y_two)):
+                raise _blow_up(eta)
+            ratio = float(np.max(np.abs(y_two - y_full) / (abs_tol + rel_tol * np.abs(y))))
+            if ratio <= 1.0:
+                y = y_two + (y_two - y_full) / 15.0
+                eta = end if last else eta + h
+                k1 = rhs(eta, y)
+                if not (_finite(y) and _finite(k1)):
+                    raise _blow_up(eta)
+                etas.append(eta)
+                states.append(y)
+                fac = 5.0 if ratio == 0.0 else min(_SAFETY * ratio ** -0.2, 5.0)
+                h = max(min(h * fac, max_step), min_step)
+            else:
+                h *= max(_SAFETY * ratio ** -0.2, 0.1)
+                if h < min_step:
+                    raise StepUnderflowError(
+                        f"required step fell below min_step near eta = {eta:.6g}", eta
+                    )
+        return Trajectory(etas, states)
+
+
+def _square(eta, y):
+    return y * y
+
+
+def _wild(eta, y):
+    # The full step samples +c at eta, eta + 2.5 and eta + 5, the half steps
+    # -c at eta + 1.25 and eta + 3.75: the two results differ by more than
+    # the float range, and with rel_tol = 1e308 the error ratio of the second
+    # component is inf/inf = NaN while the first component's is 0.
+    return np.array([1.0, 2.9e307 * math.cos(2.0 * math.pi * eta / 2.5)])
+
+
+def _ivp(h_star, sign):
+    return IvpSpec(0.0, 10.0, sakiadis_star_ic(h_star, sign), SIMILARITY_SYSTEM)
+
+
+TIGHT = StepControl(abs_tol=1e-10, rel_tol=1e-10)
+BLASIUS = IvpSpec(0.0, 6.0, blasius_star_ic(), SIMILARITY_SYSTEM)
+
+ADAPTIVE_CASES = {
+    **{f"sakiadis-{h}-{sign:+d}-{name}": (_ivp(h, sign), control)
+       for h in (0.5, 2.5, 3.0, 100.0) for sign in (1, -1)
+       for name, control in (("default", None), ("tight", TIGHT))},
+    "augmented": (IvpSpec(0.0, 10.0, augmented_ic(2.5), AUGMENTED_SYSTEM), None),
+    "square-blow-up": (IvpSpec(0.0, 3.0, np.array([1e200]), OdeSystem(_square, 1)), None),
+    "square-underflow": (IvpSpec(0.0, 3.0, np.array([1.0]), OdeSystem(_square, 1)), None),
+    "step-limit": (_ivp(2.5, -1), StepControl(max_steps=5)),
+    "nan-ratio": (IvpSpec(0.0, 20.0, np.array([1.0, 10.0]), OdeSystem(_wild, 2)),
+                  StepControl(rel_tol=1e308, initial_step=5.0, max_step=5.0)),
+}
+
+FIXED_CASES = {
+    "blasius-0.1": (BLASIUS, 0.1),
+    "blasius-0.3": (BLASIUS, 0.3),
+    "square-blow-up": (IvpSpec(0.0, 3.0, np.array([1.0]), OdeSystem(_square, 1)), 0.1),
+}
+
+
+def _outcome(integrate, spec, *args):
+    """(rhs calls as bytes, trajectory or error) of one integration."""
+    calls = []
+
+    def recording(eta, y):
+        calls.append((struct.pack("<d", eta), y.tobytes()))
+        return spec.system.rhs(eta, y)
+
+    wrapped = IvpSpec(spec.start, spec.end, spec.initial_state,
+                      OdeSystem(recording, spec.system.dim))
+    try:
+        traj = integrate(wrapped, *args)
+    except IntegrationError as exc:
+        return calls, (type(exc), str(exc), exc.eta)
+    return calls, traj
+
+
+def _assert_same(library, reference):
+    (calls, result), (ref_calls, ref_result) = library, reference
+    assert len(calls) == len(ref_calls)
+    assert calls == ref_calls
+    if isinstance(ref_result, Trajectory):
+        assert np.array_equal(result.etas, ref_result.etas)
+        assert np.array_equal(result.states, ref_result.states)
+    else:
+        kind, message, eta = result
+        ref_kind, ref_message, ref_eta = ref_result
+        assert (kind, message) == (ref_kind, ref_message)
+        assert struct.pack("<d", eta) == struct.pack("<d", ref_eta)
+
+
+@pytest.mark.parametrize("case", ADAPTIVE_CASES)
+def test_adaptive_matches_reference(case):
+    spec, control = ADAPTIVE_CASES[case]
+    _assert_same(_outcome(integrate_adaptive, spec, control),
+                 _outcome(reference_adaptive, spec, control))
+
+
+@pytest.mark.parametrize("case", FIXED_CASES)
+def test_fixed_matches_reference(case):
+    spec, h = FIXED_CASES[case]
+    _assert_same(_outcome(integrate_fixed, spec, h), _outcome(reference_fixed, spec, h))
