@@ -23,8 +23,7 @@ from .solver import (ItmConfig, ItmIterate, ItmResult,
                      evaluate_gamma_with_derivative, solve_blasius_topfer,
                      solve_sakiadis)
 from .transform import (DegenerateFarFieldError, GammaEvaluation,
-                        lambda_from_far_field, rescale_trajectory,
-                        topfer_reduce)
+                        rescale_trajectory, topfer_reduce)
 
 __version__ = "0.1.0"
 
@@ -38,8 +37,7 @@ __all__ = [
     "SIMILARITY_SYSTEM", "AUGMENTED_SYSTEM",
     "blasius_star_ic", "sakiadis_star_ic", "augmented_ic",
     # transform
-    "GammaEvaluation", "DegenerateFarFieldError", "lambda_from_far_field",
-    "rescale_trajectory", "topfer_reduce",
+    "GammaEvaluation", "DegenerateFarFieldError", "rescale_trajectory", "topfer_reduce",
     # solver
     "ItmConfig", "ItmIterate", "ItmResult", "TopferResult",
     "RootFinderBreakdownError", "TopferAgreementError",

@@ -1,7 +1,7 @@
 """Command-line front end: solve, scan and compare the similarity flows.
 
 Exit codes: 0 success, 1 usage or validation error (or an ``--output`` path
-that cannot be written), 2 non-convergence, 3 integration blow-up.  Machine
+that cannot be written), 2 non-convergence, 3 integration failure.  Machine
 formats (CSV, JSON) carry 12-digit numbers and stable headers/keys;
 identical configurations produce byte-identical output.  Run metadata only
 ever goes to stderr (``--verbose``).
@@ -14,10 +14,9 @@ import sys
 from dataclasses import dataclass
 
 from .ode import BACKEND, DEFAULT_MAX_STEPS, IntegrationError, StepControl
-from .scan import ScanFailedError, ScanGrid, export_scan, scan
+from .scan import ScanGrid, export_scan, scan
 from .solver import (ItmConfig, RootFinderBreakdownError, TopferAgreementError,
                      solve_blasius_topfer, solve_sakiadis)
-from .transform import DegenerateFarFieldError
 
 
 class UsageError(Exception):
@@ -315,7 +314,7 @@ def main(argv=None) -> int:
         if args.verbose:
             print(f"itmflow: {report.verbose}", file=sys.stderr)
         status, text = report.status, _RENDERERS[args.format](report)
-    except (IntegrationError, DegenerateFarFieldError, ScanFailedError) as exc:
+    except IntegrationError as exc:
         print(f"itmflow: integration failed: {exc}", file=sys.stderr)
         return 3
     except (RootFinderBreakdownError, TopferAgreementError) as exc:

@@ -106,8 +106,9 @@ class StepControl:
     """Adaptive integration policy.
 
     Acceptance is per component against ``abs_tol + rel_tol * |y_i|``.
-    ``max_step=None`` resolves to a quarter of the integration span.
-    ``max_steps`` caps the step attempts of one integration.
+    ``max_step=None`` resolves to a quarter of the integration span.  A
+    march starts at ``min(initial_step, span, max_step)``.  ``max_steps``
+    caps the step attempts of one integration.
     """
 
     abs_tol: float = 1e-6
@@ -127,9 +128,13 @@ class StepControl:
         if self.max_step is not None:
             if not (self.max_step > 0 and math.isfinite(self.max_step)):
                 raise ValueError("max_step must be positive and finite")
-            if self.initial_step > self.max_step:
-                raise ValueError("initial_step must not exceed max_step")
-        if not self.max_steps >= 1:
+            if self.min_step > self.max_step:
+                raise ValueError("min_step must not exceed max_step")
+        try:
+            operator.index(self.max_steps)
+        except TypeError:
+            raise ValueError(f"max_steps must be an integer, got {self.max_steps!r}") from None
+        if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
 
 

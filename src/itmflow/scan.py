@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ode import IntegrationError, StepControl
-from .solver import _evaluate
-from .transform import DegenerateFarFieldError
+from .solver import ItmConfig, evaluate_gamma_at
 
 __all__ = [
     "ScanGrid", "ScanSample", "ScanReport", "ScanFailedError",
@@ -28,7 +27,7 @@ MULTIPLE_ZEROS = "multiple_zeros"
 INCONCLUSIVE = "inconclusive"
 
 
-class ScanFailedError(RuntimeError):
+class ScanFailedError(IntegrationError):
     """Every grid point failed to produce a Gamma value."""
 
 
@@ -113,18 +112,18 @@ def scan(grid: ScanGrid, sign: int, eta_inf_star: float = 10.0,
     (default :class:`StepControl()`).  The verdict is ``unique_zero`` for
     exactly one bracket with no failed probe inside it, ``no_zero`` /
     ``multiple_zeros`` by bracket count, and ``inconclusive`` when a
-    bracket touches a grid edge or contains a failed probe.
+    bracket touches a grid edge or contains a failed probe.  A probe fails by
+    raising an :class:`IntegrationError`; if all fail, :class:`ScanFailedError` is raised.
     """
-    if not (eta_inf_star > 0 and math.isfinite(eta_inf_star)):
-        raise ValueError(f"eta_inf_star must be positive and finite, got {eta_inf_star}")
-    control = StepControl() if step_control is None else step_control
+    config = ItmConfig(sign=sign, eta_inf_star=eta_inf_star,
+                       step_control=StepControl() if step_control is None else step_control)
     samples = []
     for h_star in grid.points():
         h = float(h_star)
         try:
-            evaluation, _ = _evaluate(h, sign, eta_inf_star, control, False)
+            evaluation = evaluate_gamma_at(h, config)
             samples.append(ScanSample(h, evaluation.gamma, evaluation.lam, False))
-        except (IntegrationError, DegenerateFarFieldError):
+        except IntegrationError:
             samples.append(ScanSample(h, math.nan, math.nan, True))
     valid = [s for s in samples if not s.failed]
     if not valid:

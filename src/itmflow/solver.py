@@ -8,6 +8,7 @@ solve plus a far-field agreement check across truncated boundaries.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +82,11 @@ class ItmConfig:
             raise ValueError(f"eta_inf_star must be positive and finite, got {self.eta_inf_star}")
         if not (self.gamma_tol > 0 and math.isfinite(self.gamma_tol)):
             raise ValueError(f"gamma_tol must be positive and finite, got {self.gamma_tol}")
-        if not self.max_iterations >= 1:
+        try:
+            operator.index(self.max_iterations)
+        except TypeError:
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}") from None
+        if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
 
 
@@ -126,21 +131,19 @@ class TopferResult:
 def _evaluate(h_star, sign, eta_inf_star, control, with_derivative):
     """One probe of the transformation function.
 
-    Integrates the starred IVP to the truncated boundary and reads the far
-    field; returns the evaluation together with the 3-component starred
-    trajectory (the augmented run is projected onto its leading block).
+    Integrates the starred IVP (the 6-equation augmented system when
+    ``with_derivative``) to the truncated boundary and reads the far field;
+    returns the evaluation together with the raw starred trajectory.
+    Every failed probe raises an :class:`IntegrationError`.
     """
     if with_derivative:
-        spec = IvpSpec(0.0, eta_inf_star, augmented_ic(h_star), AUGMENTED_SYSTEM)
-        traj = integrate_adaptive(spec, control)
-        far = float(traj.states[-1, 1])
-        sensitivity = float(traj.states[-1, 4])
-        evaluation = GammaEvaluation.from_far_field(h_star, far, sensitivity)
-        return evaluation, Trajectory(traj.etas, traj.states[:, :3])
-    spec = IvpSpec(0.0, eta_inf_star, sakiadis_star_ic(h_star, sign), SIMILARITY_SYSTEM)
-    traj = integrate_adaptive(spec, control)
-    far = float(traj.states[-1, 1])
-    return GammaEvaluation.from_far_field(h_star, far), traj
+        initial, system = augmented_ic(h_star), AUGMENTED_SYSTEM
+    else:
+        initial, system = sakiadis_star_ic(h_star, sign), SIMILARITY_SYSTEM
+    traj = integrate_adaptive(IvpSpec(0.0, eta_inf_star, initial, system), control)
+    far = traj.states[-1]
+    sensitivity = float(far[4]) if with_derivative else None
+    return GammaEvaluation.from_far_field(h_star, float(far[1]), sensitivity), traj
 
 
 def evaluate_gamma_at(h_star: float, config: ItmConfig | None = None) -> GammaEvaluation:
@@ -163,14 +166,14 @@ def evaluate_gamma_with_derivative(h_star: float,
 
 
 def _finalize(iterates, accepted, traj):
-    """Converged result at the ``accepted`` iterate, whose starred trajectory is ``traj``."""
+    """Converged result at the ``accepted`` iterate, whose raw starred trajectory is ``traj``."""
     return ItmResult(
         iterates=iterates,
         converged=True,
         final_h_star=accepted.h_star,
         final_lambda=accepted.lam,
         final_wall_shear=accepted.wall_shear,
-        rescaled_solution=rescale_trajectory(accepted.lam, traj),
+        rescaled_solution=rescale_trajectory(accepted.lam, Trajectory(traj.etas, traj.states[:, :3])),
     )
 
 
@@ -184,7 +187,8 @@ def solve_sakiadis(config: ItmConfig | None = None) -> ItmResult:
     out the result carries ``converged=False``.
 
     Raises :class:`RootFinderBreakdownError` on a flat secant or a vanishing
-    Newton derivative, and propagates integration failures.
+    Newton derivative, and propagates every failed probe as an
+    :class:`IntegrationError`.
     """
     config = ItmConfig() if config is None else config
     newton = config.root_finder == NEWTON

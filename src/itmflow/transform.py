@@ -11,15 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import Trajectory
+from .ode import IntegrationError, Trajectory
 
 __all__ = [
-    "DegenerateFarFieldError", "GammaEvaluation", "lambda_from_far_field",
-    "rescale_trajectory", "topfer_reduce",
+    "DegenerateFarFieldError", "GammaEvaluation", "rescale_trajectory", "topfer_reduce",
 ]
 
 
-class DegenerateFarFieldError(ValueError):
+class DegenerateFarFieldError(IntegrationError):
     """``far_slope + sqrt(h*)`` was not a positive finite number.
 
     This is the algebraic signature of a diverged IVP (or an invalid h*):
@@ -27,25 +26,11 @@ class DegenerateFarFieldError(ValueError):
     """
 
 
-def lambda_from_far_field(far_slope: float, h_star: float) -> float:
-    """Group parameter ``lam = sqrt(far_slope + sqrt(h*))``."""
-    h = float(h_star)
-    if not h > 0:
-        raise ValueError(f"h* must be positive, got {h_star}")
-    radicand = far_slope + math.sqrt(h)
-    if not math.isfinite(radicand) or radicand <= 0:
-        raise DegenerateFarFieldError(
-            f"far_slope + sqrt(h*) = {radicand:.6g} is not positive; "
-            "the starred IVP diverged or h* is invalid"
-        )
-    return math.sqrt(radicand)
-
-
 @dataclass(frozen=True)
 class GammaEvaluation:
     """One evaluation of the transformation function at ``h_star``.
 
-    Always built through :func:`lambda_from_far_field`, so
+    Always built through :meth:`from_far_field`, so
     ``lam**2 == far_slope + sqrt(h_star)`` and
     ``gamma == h_star * lam**-4 - 1`` hold by construction.  Given the
     h*-sensitivity ``u5`` of the far slope, ``dgamma_dh`` is, with
@@ -62,7 +47,15 @@ class GammaEvaluation:
     @classmethod
     def from_far_field(cls, h_star: float, far_slope: float,
                        far_slope_sensitivity: float | None = None):
-        lam = lambda_from_far_field(far_slope, h_star)
+        if not float(h_star) > 0:
+            raise ValueError(f"h* must be positive, got {h_star}")
+        radicand = far_slope + math.sqrt(h_star)
+        if not math.isfinite(radicand) or radicand <= 0:
+            raise DegenerateFarFieldError(
+                f"far_slope + sqrt(h*) = {radicand:.6g} is not positive; "
+                "the starred IVP diverged or h* is invalid"
+            )
+        lam = math.sqrt(radicand)
         value = h_star / lam ** 4 - 1.0
         deriv = None
         if far_slope_sensitivity is not None:

@@ -59,6 +59,12 @@ class TestExitCodes:
         assert code == 3
         assert "integration failed" in err
 
+    def test_degenerate_far_field_exit(self, capsys):
+        code, out, err = run_cli(capsys, "sakiadis", "--eta-inf", "15")
+        assert code == 3
+        assert out == ""
+        assert "integration failed: far_slope + sqrt(h*)" in err
+
     def test_step_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ITM_MAX_STEPS", "10")
         code, _, err = run_cli(capsys, "sakiadis")

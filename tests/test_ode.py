@@ -143,6 +143,12 @@ class TestIntegrateAdaptive:
         assert traj.etas[0] == 0.25
         assert traj.etas[-1] == 0.73
 
+    def test_max_step_below_default_initial_step(self):
+        spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
+        traj = integrate_adaptive(spec, StepControl(max_step=0.005))
+        assert traj.etas[-1] == 1.0
+        assert np.diff(traj.etas).max() <= 0.005 * (1 + 1e-9)
+
     def test_deterministic_bitwise(self):
         ic = np.array([0.0, math.sqrt(2.5), -1.0])
         spec = IvpSpec(0.0, 10.0, ic, SIMILARITY_SYSTEM)
@@ -242,10 +248,11 @@ class TestValidation:
         {"rel_tol": -1e-6},
         {"max_step": -1.0},
         {"min_step": 0.1, "initial_step": 0.01},
-        {"initial_step": 3.0, "max_step": 1.0},
+        {"max_step": 1e-13},
         {"max_steps": 0},
         {"abs_tol": math.inf, "rel_tol": math.inf},
         {"max_steps": math.nan},
+        {"max_steps": 2.5},
     ])
     def test_step_control_checks(self, kwargs):
         with pytest.raises(ValueError):

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from itmflow import (ItmConfig, ScanFailedError, ScanGrid, StepControl,
-                     evaluate_gamma_at, export_scan, scan, solve_sakiadis)
+from itmflow import (IntegrationError, ItmConfig, ScanFailedError, ScanGrid,
+                     StepControl, evaluate_gamma_at, export_scan, scan,
+                     solve_sakiadis)
 
 DEFAULT_GRID = ScanGrid(h_min=0.5, h_max=20.0, count=40)
 
@@ -94,6 +95,17 @@ class TestVerdicts:
     def test_all_probes_failing(self):
         with pytest.raises(ScanFailedError):
             scan(ScanGrid(0.5, 1.0, 2), -1)
+
+    def test_all_failed_scan_is_an_integration_error(self):
+        with pytest.raises(IntegrationError) as err:
+            scan(ScanGrid(0.3, 1.0, 3), -1)
+        assert isinstance(err.value, ScanFailedError)
+
+    def test_degenerate_probe_is_recorded_as_failed(self):
+        # At eta_inf* = 15 the h* = 2.5 probe has a degenerate far field.
+        report = scan(ScanGrid(2.5, 3.5, 3), -1, 15.0)
+        assert [s.failed for s in report.samples] == [True, False, False]
+        assert all(math.isfinite(s.gamma) for s in report.samples[1:])
 
     def test_edge_touching_bracket_is_inconclusive(self):
         # the sign change sits on the very first grid interval

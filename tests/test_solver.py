@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import itmflow.solver as solver_mod
-from itmflow import (GammaEvaluation, ItmConfig, RootFinderBreakdownError,
+from itmflow import (DegenerateFarFieldError, GammaEvaluation, IntegrationError,
+                     ItmConfig, RootFinderBreakdownError,
                      StepControl, TopferAgreementError, Trajectory,
                      evaluate_gamma_at, evaluate_gamma_with_derivative,
                      solve_blasius_topfer, solve_sakiadis)
@@ -56,6 +57,13 @@ class TestEvaluateGamma:
     def test_derivative_needs_negative_branch(self):
         with pytest.raises(ValueError):
             evaluate_gamma_with_derivative(2.5, ItmConfig(sign=1))
+
+    def test_degenerate_far_field_is_an_integration_error(self):
+        # At eta_inf* = 15 the h* = 2.5 probe ends with f' + sqrt(h*) <= 0.
+        with pytest.raises(IntegrationError) as err:
+            evaluate_gamma_at(2.5, ItmConfig(eta_inf_star=15.0))
+        assert isinstance(err.value, DegenerateFarFieldError)
+        assert not isinstance(err.value, ValueError)
 
 
 class TestSecant:
@@ -207,6 +215,7 @@ class TestItmConfigValidation:
         {"gamma_tol": math.inf},
         {"eta_inf_star": math.inf},
         {"max_iterations": math.nan},
+        {"max_iterations": 2.5},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):

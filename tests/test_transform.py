@@ -6,27 +6,27 @@ import numpy as np
 import pytest
 
 from itmflow import (DegenerateFarFieldError, GammaEvaluation, IvpSpec,
-                     Trajectory, integrate_adaptive, lambda_from_far_field,
-                     rescale_trajectory, sakiadis_star_ic, topfer_reduce)
+                     Trajectory, integrate_adaptive, rescale_trajectory,
+                     sakiadis_star_ic, topfer_reduce)
 from itmflow.models import SIMILARITY_SYSTEM
 
 
 class TestLambda:
     def test_unit_fixed_point(self):
-        assert lambda_from_far_field(0.0, 1.0) == 1.0
+        assert GammaEvaluation.from_far_field(1.0, 0.0).lam == 1.0
 
     def test_direct_evaluation(self):
-        assert lambda_from_far_field(2.0, 4.0) == 2.0
+        assert GammaEvaluation.from_far_field(4.0, 2.0).lam == 2.0
 
     def test_degenerate_radicand(self):
         with pytest.raises(DegenerateFarFieldError):
-            lambda_from_far_field(-2.0, 1.0)
+            GammaEvaluation.from_far_field(1.0, -2.0).lam
         with pytest.raises(DegenerateFarFieldError):
-            lambda_from_far_field(math.inf, 1.0)
+            GammaEvaluation.from_far_field(1.0, math.inf).lam
 
     def test_requires_positive_h(self):
         with pytest.raises(ValueError):
-            lambda_from_far_field(1.0, -1.0)
+            GammaEvaluation.from_far_field(-1.0, 1.0).lam
 
 
 def gamma(h_star, far_slope):
