@@ -14,7 +14,7 @@ from .models import (AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, augmented_ic,
                      blasius_star_ic, sakiadis_star_ic)
 from .ode import (BACKEND, BlowUpError, IntegrationError, IvpSpec, OdeSystem,
                   StepControl, StepLimitError, StepUnderflowError, Trajectory,
-                  integrate_adaptive, integrate_fixed)
+                  integrate_adaptive)
 from .scan import (ScanFailedError, ScanGrid, ScanReport, ScanSample,
                    export_scan, scan)
 from .solver import (ItmConfig, ItmIterate, ItmResult,
@@ -32,7 +32,7 @@ __all__ = [
     # ode
     "OdeSystem", "IvpSpec", "StepControl", "Trajectory",
     "IntegrationError", "BlowUpError", "StepUnderflowError", "StepLimitError",
-    "integrate_fixed", "integrate_adaptive",
+    "integrate_adaptive",
     # models
     "SIMILARITY_SYSTEM", "AUGMENTED_SYSTEM",
     "blasius_star_ic", "sakiadis_star_ic", "augmented_ic",

@@ -9,6 +9,7 @@ ever goes to stderr (``--verbose``).
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -195,6 +196,8 @@ def cmd_sakiadis(args) -> Report:
 
 
 def cmd_blasius(args) -> Report:
+    if not math.isfinite(args.agreement_tol):  # JSON has no Infinity or NaN
+        raise UsageError("agreement_tol must be finite")
     result = solve_blasius_topfer(eta_checks=args.eta_checks,
                                   agreement_tol=args.agreement_tol,
                                   step_control=_step_control(args))

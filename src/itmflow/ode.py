@@ -1,11 +1,11 @@
 """Classical fourth-order Runge-Kutta integration for small first-order systems.
 
-Provides a fixed-step march and an adaptive step-doubling scheme (one full
-step checked against two half steps, Richardson-extrapolated acceptance).
+Provides one adaptive step-doubling march (one full step checked against two
+half steps, Richardson-extrapolated acceptance).
 
 ``rhs(eta, y)`` receives a fresh float ndarray of shape ``(dim,)``, must return
 an ndarray of the same shape and must not modify its argument.  Between calls
-the marches carry states and slopes as Python floats, which on a few elements
+the march carries states and slopes as Python floats, which on a few elements
 costs far less than numpy dispatch and gives bit-identical results.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 __all__ = [
     "BACKEND", "OdeSystem", "IvpSpec", "StepControl", "Trajectory",
     "IntegrationError", "BlowUpError", "StepUnderflowError", "StepLimitError",
-    "DEFAULT_MAX_STEPS", "integrate_fixed", "integrate_adaptive",
+    "DEFAULT_MAX_STEPS", "integrate_adaptive",
 ]
 
 # The one integration kernel: interpreted Python stepping over float lists.
@@ -214,48 +214,6 @@ def _first_slope(rhs, eta, state, dim) -> list:
     return k
 
 
-def integrate_fixed(spec: IvpSpec, h: float, max_steps: int | None = None) -> Trajectory:
-    """Integrate with a uniform RK4 grid of step ``h``.
-
-    The march lands on ``spec.end`` exactly; the final step may be shorter
-    than ``h``.  Raises :class:`StepLimitError` when the grid would exceed
-    the step budget and :class:`BlowUpError` on non-finite states.
-    """
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError("h must be positive and finite")
-    max_steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
-    if not max_steps >= 1:
-        raise ValueError("max_steps must be positive")
-    rhs, start, end, h = spec.system.rhs, spec.start, spec.end, float(h)
-    steps = max(1.0, np.ceil((end - start) / h - 1e-12))  # inf when h is subnormal
-    if steps > max_steps:
-        raise _step_limit(start)
-    n_steps = int(steps)
-    state = spec.initial_state.copy()
-    y = state.tolist()
-    eta = start
-    etas, states = [eta], [state]
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        k1 = _first_slope(rhs, eta, state, spec.system.dim)
-        for step in range(n_steps):
-            if step < n_steps - 1:
-                hi, eta_next = h, start + (step + 1) * h
-            else:
-                # The final step is shortened so the last node is exactly ``end``.
-                hi, eta_next = end - eta, end
-            y = _rk4(rhs, eta, y, k1, hi)
-            if not _finite(y):
-                raise _blow_up(eta_next)
-            eta = eta_next
-            state = np.array(y)
-            k1 = rhs(eta, state).tolist()  # checked at every node, the end included
-            if not _finite(k1):
-                raise _blow_up(eta)
-            etas.append(eta)
-            states.append(state)
-        return Trajectory(etas, states)
-
-
 def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Trajectory:
     """Integrate with step-doubling error control.
 
@@ -266,7 +224,8 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
 
     Returns the accepted samples, both endpoints included (the last abscissa
     is exactly ``spec.end``).  Raises :class:`BlowUpError`,
-    :class:`StepUnderflowError` or :class:`StepLimitError`.
+    :class:`StepUnderflowError` or :class:`StepLimitError`, or a plain
+    :class:`IntegrationError` when the error estimate is not a number.
     """
     control = StepControl() if control is None else control
     rhs, start, end = spec.system.rhs, spec.start, spec.end
@@ -313,6 +272,9 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
                 fac = 5.0 if ratio == 0.0 else min(_SAFETY * ratio ** -0.2, 5.0)
                 h = max(min(h * fac, max_step), min_step)
             else:
+                if math.isnan(ratio):
+                    raise IntegrationError("error estimate is not a number near eta = "
+                                           f"{eta:.6g}: abs_tol + rel_tol*|y| overflowed", eta)
                 h *= max(_SAFETY * ratio ** -0.2, 0.1)
                 if h < min_step:
                     raise StepUnderflowError(

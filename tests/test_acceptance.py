@@ -14,7 +14,7 @@ import pytest
 
 from itmflow import (ItmConfig, ScanGrid, StepControl, augmented_ic,
                      evaluate_gamma_at, evaluate_gamma_with_derivative,
-                     integrate_adaptive, integrate_fixed, sakiadis_star_ic,
+                     integrate_adaptive, sakiadis_star_ic,
                      scan, solve_blasius_topfer, solve_sakiadis)
 from itmflow.cli import main
 from itmflow.models import AUGMENTED_SYSTEM, SIMILARITY_SYSTEM
@@ -185,14 +185,22 @@ def test_criterion_08_rescaling_contract():
 
 
 def test_criterion_09_integrator_order():
+    # Tolerances of 1 accept every attempt, so the march keeps the uniform
+    # step h.  RK4 is order 4 and the extrapolation (two - full)/15 removes
+    # its h^4 error term, so the march is order 5: halving h divides the
+    # error by about 2^5 = 32.
     system = OdeSystem(lambda eta, y: y.copy(), 1)
     spec = IvpSpec(0.0, 1.0, np.array([1.0]), system)
-    errs = [abs(integrate_fixed(spec, h).states[-1, 0] - math.e)
-            for h in (0.1, 0.05, 0.025)]
+
+    def error(h):
+        control = StepControl(abs_tol=1.0, rel_tol=1.0, initial_step=h, min_step=h, max_step=h)
+        return abs(integrate_adaptive(spec, control).states[-1, 0] - math.e)
+
+    errs = [error(h) for h in (0.1, 0.05, 0.025)]
     r1 = errs[0] / errs[1]
     r2 = errs[1] / errs[2]
-    ok = 14.0 <= r1 <= 18.0 and 14.0 <= r2 <= 18.0
-    _report(9, ok, f"halving-h error ratios {r1:.2f}, {r2:.2f} (order 4)")
+    ok = 28.0 <= r1 <= 36.0 and 28.0 <= r2 <= 36.0
+    _report(9, ok, f"halving-h error ratios {r1:.2f}, {r2:.2f} (order 5)")
     assert ok, (r1, r2)
 
 

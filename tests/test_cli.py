@@ -39,6 +39,14 @@ class TestExitCodes:
         assert code == 1
         assert "two" in err
 
+    def test_infinite_agreement_tol_rejected(self, capsys):
+        # JSON has no Infinity, so the config block could not be written
+        code, out, err = run_cli(capsys, "blasius", "--agreement-tol", "inf",
+                                 "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert "agreement_tol must be finite" in err
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "sakiadis", "--frobnicate")
         assert code == 1

@@ -7,7 +7,7 @@ import pytest
 
 from itmflow import (AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, IvpSpec,
                      StepControl, augmented_ic, blasius_star_ic,
-                     integrate_adaptive, integrate_fixed, sakiadis_star_ic)
+                     integrate_adaptive, sakiadis_star_ic)
 
 
 class TestSimilarityRhs:
@@ -46,7 +46,7 @@ class TestInitialConditions:
 
     def test_blasius_slope_monotone(self):
         spec = IvpSpec(0.0, 6.0, blasius_star_ic(), SIMILARITY_SYSTEM)
-        traj = integrate_fixed(spec, 0.01)
+        traj = integrate_adaptive(spec)
         assert np.all(np.diff(traj.states[:, 1]) > 0)
 
     @pytest.mark.parametrize("h_star, sign, expected", [

@@ -1,4 +1,4 @@
-"""Integrator tests: RK4 step, fixed and adaptive marches."""
+"""Integrator tests: the adaptive RK4 march, free and pinned to a uniform step."""
 
 import math
 import re
@@ -6,9 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from itmflow import (BlowUpError, IvpSpec, OdeSystem, StepControl,
-                     StepLimitError, StepUnderflowError, blasius_star_ic,
-                     integrate_adaptive, integrate_fixed)
+from itmflow import (BlowUpError, IntegrationError, IvpSpec, OdeSystem,
+                     StepControl, StepLimitError, StepUnderflowError,
+                     integrate_adaptive, sakiadis_star_ic)
 from itmflow.models import SIMILARITY_SYSTEM
 
 
@@ -33,82 +33,57 @@ EXP_1D = OdeSystem(_identity, 1)
 HARMONIC = OdeSystem(_harmonic, 2)
 
 
+def _pinned(h):
+    """Tolerances loose enough that every attempt at the uniform step h is accepted."""
+    return StepControl(abs_tol=1.0, rel_tol=1.0, initial_step=h, min_step=h, max_step=h)
+
+
 class TestRk4Step:
-    """One RK4 step: a fixed march whose span is a single step."""
+    """One RK4 macro step: a pinned march whose span is a single step."""
 
     def test_zero_derivative_keeps_state(self):
         spec = IvpSpec(0.0, 0.1, np.array([7.0]), ZERO_1D)
-        assert integrate_fixed(spec, 0.1).states[-1, 0] == 7.0
+        assert integrate_adaptive(spec, _pinned(0.1)).states[-1, 0] == 7.0
 
     def test_exponential_one_step(self):
         spec = IvpSpec(0.0, 0.1, np.array([1.0]), EXP_1D)
-        traj = integrate_fixed(spec, 0.1)
+        traj = integrate_adaptive(spec, _pinned(0.1))
         assert len(traj) == 2
         assert abs(traj.states[-1, 0] - math.exp(0.1)) < 1e-7
 
     def test_blowup_carries_eta(self):
-        # 1e200 squared overflows in the first stage, at the step's start
+        # 1e200 squared overflows in the first slope, at the march's start
         spec = IvpSpec(2.0, 3.0, np.array([1e200]), OdeSystem(_square, 1))
         with pytest.raises(BlowUpError) as err:
-            integrate_fixed(spec, 1.0)
+            integrate_adaptive(spec)
         assert err.value.eta == 2.0
 
 
 class TestIntegrateFixed:
-    def test_blasius_hand_march_step_tenth(self):
-        # classical fixed grid 0.1 from unit curvature out to eta* = 6
-        spec = IvpSpec(0.0, 6.0, blasius_star_ic(), SIMILARITY_SYSTEM)
-        traj = integrate_fixed(spec, 0.1)
-        slopes = traj.states[:, 1]
-        assert np.all(np.diff(slopes) > 0)
-        far = traj.states[-1, 1]
-        assert far == pytest.approx(2.08540824, abs=1e-6)  # frozen, rtol=1e-12 reference
-        assert far ** -1.5 == pytest.approx(0.332057, abs=1e-5)
+    """The adaptive march pinned to a uniform step: the grid is fixed."""
 
     def test_constant_grid_and_samples(self):
         spec = IvpSpec(0.0, 10.0, np.array([3.0]), ZERO_1D)
-        traj = integrate_fixed(spec, 0.5)
+        traj = integrate_adaptive(spec, _pinned(0.5))
         assert len(traj) == 21
         assert np.all(traj.states == 3.0)
         assert traj.etas[0] == 0.0 and traj.etas[-1] == 10.0
 
-    def test_exponential_growth_error(self):
-        spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
-        err = abs(integrate_fixed(spec, 0.1).states[-1, 0] - math.e)
-        # RK4 theory for y'=y gives e*h^4/120 ~ 2.1e-6 at h=0.1
-        assert 1e-6 < err < 3e-6
-        err5 = abs(integrate_fixed(spec, 0.05).states[-1, 0] - math.e)
-        assert err5 < 1e-6
-
     def test_harmonic_oscillator_period(self):
         spec = IvpSpec(0.0, 2.0 * math.pi, np.array([1.0, 0.0]), HARMONIC)
-        final = integrate_fixed(spec, 0.01).states[-1]
+        final = integrate_adaptive(spec, _pinned(0.01)).states[-1]
         assert np.max(np.abs(final - np.array([1.0, 0.0]))) < 1e-6
 
     def test_partial_final_step_lands_on_end(self):
         spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
-        traj = integrate_fixed(spec, 0.3)
+        traj = integrate_adaptive(spec, _pinned(0.3))
         assert traj.etas[-1] == 1.0
         assert len(traj) == 5
 
     def test_nonautonomous_rhs(self):
         spec = IvpSpec(0.0, 0.5 * math.pi, np.array([0.0]), OdeSystem(_cosine, 1))
-        traj = integrate_fixed(spec, 0.01)
+        traj = integrate_adaptive(spec, _pinned(0.01))
         assert traj.states[-1, 0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_step_budget(self):
-        spec = IvpSpec(0.0, 10.0, np.array([1.0]), EXP_1D)
-        with pytest.raises(StepLimitError):
-            integrate_fixed(spec, 1e-9)
-        with pytest.raises(StepLimitError):
-            integrate_fixed(spec, 5e-324)  # the step count overflows to inf
-
-    def test_order_four_convergence(self):
-        spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
-        errs = [abs(integrate_fixed(spec, h).states[-1, 0] - math.e)
-                for h in (0.1, 0.05, 0.025)]
-        assert 14.0 <= errs[0] / errs[1] <= 18.0
-        assert 14.0 <= errs[1] / errs[2] <= 18.0
 
 
 class TestIntegrateAdaptive:
@@ -134,7 +109,7 @@ class TestIntegrateAdaptive:
     def test_agrees_with_fine_fixed_grid(self):
         spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
         adaptive = integrate_adaptive(spec).states[-1]
-        fixed = integrate_fixed(spec, 1e-4).states[-1]
+        fixed = integrate_adaptive(spec, _pinned(1e-4)).states[-1]
         assert np.max(np.abs(adaptive - fixed)) <= 10 * 1e-6
 
     def test_endpoints_exact(self):
@@ -142,6 +117,12 @@ class TestIntegrateAdaptive:
         traj = integrate_adaptive(spec)
         assert traj.etas[0] == 0.25
         assert traj.etas[-1] == 0.73
+        # a step cap that does not divide the span: the last step is cut short
+        spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
+        traj = integrate_adaptive(spec, StepControl(max_step=0.3))
+        assert traj.etas[0] == 0.0
+        assert traj.etas[-1] == 1.0
+        assert np.array_equal(traj.states[0], spec.initial_state)
 
     def test_max_step_below_default_initial_step(self):
         spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
@@ -165,10 +146,25 @@ class TestIntegrateAdaptive:
         with pytest.raises(BlowUpError):
             integrate_adaptive(spec)
 
+    def test_nan_error_ratio_is_reported(self):
+        # The first attempt's full step samples +c at 0, 2.5 and 5, its half
+        # steps -c at 1.25 and 3.75: the two results differ by more than the
+        # float range, and with rel_tol = 1e308 the second component's error
+        # ratio is inf/inf = NaN while every state stays finite.
+        def wild(eta, y):
+            return np.array([1.0, 2.9e307 * math.cos(2.0 * math.pi * eta / 2.5)])
+
+        spec = IvpSpec(0.0, 20.0, np.array([1.0, 10.0]), OdeSystem(wild, 2))
+        control = StepControl(rel_tol=1e308, initial_step=5.0, max_step=5.0)
+        with pytest.raises(IntegrationError) as err:
+            integrate_adaptive(spec, control)
+        assert type(err.value) is IntegrationError
+        assert str(err.value) == ("error estimate is not a number near eta = 0: "
+                                  "abs_tol + rel_tol*|y| overflowed")
+        assert err.value.eta == 0.0
+
     def test_finite_time_singularity_reports_location(self):
         # moving-plate probe at h* = 0.5 escapes near eta = 4.99
-        from itmflow import IntegrationError, sakiadis_star_ic
-        from itmflow.models import SIMILARITY_SYSTEM
         spec = IvpSpec(0.0, 10.0, sakiadis_star_ic(0.5), SIMILARITY_SYSTEM)
         with pytest.raises(IntegrationError) as err:
             integrate_adaptive(spec)
@@ -189,13 +185,11 @@ class TestIntegrateAdaptive:
 
 
 class TestRhsContract:
-    @pytest.mark.parametrize("integrate, args", [
-        (integrate_adaptive, (StepControl(abs_tol=1e-10, rel_tol=1e-10, initial_step=1.0),)),
-        (integrate_fixed, (0.3,)),
-    ], ids=["adaptive", "fixed"])
+    # One march is left; the id still names it.
+    @pytest.mark.parametrize("integrate", [integrate_adaptive], ids=["adaptive"])
     @pytest.mark.parametrize("system", [SIMILARITY_SYSTEM, OdeSystem(_square, 1)],
                              ids=["similarity", "square"])
-    def test_rhs_receives_fresh_float_vector(self, integrate, args, system):
+    def test_rhs_receives_fresh_float_vector(self, integrate, system):
         received = []
 
         def recording(eta, y):
@@ -205,24 +199,20 @@ class TestRhsContract:
             return system.rhs(eta, y)
 
         spec = IvpSpec(0.0, 1.0, np.full(system.dim, 0.5), OdeSystem(recording, system.dim))
-        traj = integrate(spec, *args)
+        traj = integrate(spec, StepControl(abs_tol=1e-10, rel_tol=1e-10, initial_step=1.0))
         # Every call got its own array (all are still alive, so ids are unique).
         assert len({id(y) for y in received}) == len(received)
-        if integrate is integrate_adaptive:
-            # One start call, 11 per accepted step and 10 per rejected one:
-            # the oversized first step must have been rejected.
-            assert len(received) > 1 + 11 * (len(traj) - 1)
+        # One start call, 11 per accepted step and 10 per rejected one:
+        # the oversized first step must have been rejected.
+        assert len(received) > 1 + 11 * (len(traj) - 1)
 
-    @pytest.mark.parametrize("integrate, args", [
-        (integrate_adaptive, ()),
-        (integrate_fixed, (0.1,)),
-    ], ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("integrate", [integrate_adaptive], ids=["adaptive"])
     @pytest.mark.parametrize("shape", [(1,), (2,), (4,), (1, 3)], ids=str)
-    def test_wrong_rhs_shape_is_rejected(self, integrate, args, shape):
+    def test_wrong_rhs_shape_is_rejected(self, integrate, shape):
         spec = IvpSpec(0.0, 1.0, np.ones(3), OdeSystem(lambda eta, y: np.ones(shape), 3))
         message = f"rhs returned shape {shape}, system dimension is 3"
         with pytest.raises(ValueError, match=re.escape(message)):
-            integrate(spec, *args)
+            integrate(spec)
 
 
 class TestValidation:
@@ -257,17 +247,3 @@ class TestValidation:
     def test_step_control_checks(self, kwargs):
         with pytest.raises(ValueError):
             StepControl(**kwargs)
-
-    @pytest.mark.parametrize("h, max_steps, message", [
-        (0.0, None, "h must be positive and finite"),
-        (-0.1, None, "h must be positive and finite"),
-        (math.nan, None, "h must be positive and finite"),
-        (math.inf, None, "h must be positive and finite"),
-        (0.1, 0, "max_steps must be positive"),
-        (0.1, -5, "max_steps must be positive"),
-        (0.1, math.nan, "max_steps must be positive"),
-    ])
-    def test_integrate_fixed_checks(self, h, max_steps, message):
-        spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
-        with pytest.raises(ValueError, match=message):
-            integrate_fixed(spec, h, max_steps)

@@ -1,13 +1,12 @@
 """The list-of-floats RK4 kernel against the ndarray kernel it replaced.
 
-``_rk4``, ``integrate_fixed`` and ``integrate_adaptive`` below are the
-ndarray versions, kept verbatim as the reference.  The library kernel carries
+``_rk4`` and ``reference_adaptive`` below are the ndarray versions of the
+adaptive march, kept verbatim as the reference.  The library kernel carries
 states as Python floats but keeps every float operation in the same order,
 so trajectories, errors and the whole sequence of rhs calls must match bit
 for bit; regrouping any of the arithmetic fails here.
 """
 
-import math
 import struct
 
 import numpy as np
@@ -15,10 +14,9 @@ import pytest
 
 from itmflow import (AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, IntegrationError,
                      IvpSpec, OdeSystem, StepControl, StepUnderflowError,
-                     Trajectory, augmented_ic, blasius_star_ic,
-                     integrate_adaptive, integrate_fixed, sakiadis_star_ic)
-from itmflow.ode import (_SAFETY, DEFAULT_MAX_STEPS, _blow_up, _finite,
-                         _step_limit)
+                     Trajectory, augmented_ic, integrate_adaptive,
+                     sakiadis_star_ic)
+from itmflow.ode import _SAFETY, _blow_up, _finite, _step_limit
 
 
 def _rk4(rhs, eta, y, k1, h):
@@ -27,44 +25,6 @@ def _rk4(rhs, eta, y, k1, h):
     k3 = rhs(eta + 0.5 * h, y + 0.5 * h * k2)
     k4 = rhs(eta + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def reference_fixed(spec, h, max_steps=None):
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError("h must be positive and finite")
-    max_steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
-    if not max_steps >= 1:
-        raise ValueError("max_steps must be positive")
-    rhs, start, end, h = spec.system.rhs, spec.start, spec.end, float(h)
-    steps = max(1.0, np.ceil((end - start) / h - 1e-12))  # inf when h is subnormal
-    if steps > max_steps:
-        raise _step_limit(start)
-    n_steps = int(steps)
-    y = spec.initial_state.copy()
-    eta = start
-    etas, states = [eta], [y]
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for step in range(n_steps):
-            k1 = rhs(eta, y)
-            if not _finite(k1):
-                raise _blow_up(eta)
-            if step < n_steps - 1:
-                hi = h
-                eta_next = start + (step + 1) * h
-            else:
-                # The final step is shortened so the last node is exactly ``end``.
-                hi = end - eta
-                eta_next = end
-            y = _rk4(rhs, eta, y, k1, hi)
-            if not _finite(y):
-                raise _blow_up(eta_next)
-            eta = eta_next
-            etas.append(eta)
-            states.append(y)
-        # The slope at the end is checked like the slope at every other node.
-        if not _finite(rhs(end, y)):
-            raise _blow_up(end)
-        return Trajectory(etas, states)
 
 
 def reference_adaptive(spec, control=None):
@@ -121,20 +81,11 @@ def _square(eta, y):
     return y * y
 
 
-def _wild(eta, y):
-    # The full step samples +c at eta, eta + 2.5 and eta + 5, the half steps
-    # -c at eta + 1.25 and eta + 3.75: the two results differ by more than
-    # the float range, and with rel_tol = 1e308 the error ratio of the second
-    # component is inf/inf = NaN while the first component's is 0.
-    return np.array([1.0, 2.9e307 * math.cos(2.0 * math.pi * eta / 2.5)])
-
-
 def _ivp(h_star, sign):
     return IvpSpec(0.0, 10.0, sakiadis_star_ic(h_star, sign), SIMILARITY_SYSTEM)
 
 
 TIGHT = StepControl(abs_tol=1e-10, rel_tol=1e-10)
-BLASIUS = IvpSpec(0.0, 6.0, blasius_star_ic(), SIMILARITY_SYSTEM)
 
 ADAPTIVE_CASES = {
     **{f"sakiadis-{h}-{sign:+d}-{name}": (_ivp(h, sign), control)
@@ -144,14 +95,6 @@ ADAPTIVE_CASES = {
     "square-blow-up": (IvpSpec(0.0, 3.0, np.array([1e200]), OdeSystem(_square, 1)), None),
     "square-underflow": (IvpSpec(0.0, 3.0, np.array([1.0]), OdeSystem(_square, 1)), None),
     "step-limit": (_ivp(2.5, -1), StepControl(max_steps=5)),
-    "nan-ratio": (IvpSpec(0.0, 20.0, np.array([1.0, 10.0]), OdeSystem(_wild, 2)),
-                  StepControl(rel_tol=1e308, initial_step=5.0, max_step=5.0)),
-}
-
-FIXED_CASES = {
-    "blasius-0.1": (BLASIUS, 0.1),
-    "blasius-0.3": (BLASIUS, 0.3),
-    "square-blow-up": (IvpSpec(0.0, 3.0, np.array([1.0]), OdeSystem(_square, 1)), 0.1),
 }
 
 
@@ -191,9 +134,3 @@ def test_adaptive_matches_reference(case):
     spec, control = ADAPTIVE_CASES[case]
     _assert_same(_outcome(integrate_adaptive, spec, control),
                  _outcome(reference_adaptive, spec, control))
-
-
-@pytest.mark.parametrize("case", FIXED_CASES)
-def test_fixed_matches_reference(case):
-    spec, h = FIXED_CASES[case]
-    _assert_same(_outcome(integrate_fixed, spec, h), _outcome(reference_fixed, spec, h))
