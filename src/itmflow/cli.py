@@ -59,6 +59,11 @@ def _fmt_gamma(value) -> str:
     return f"{value:12.6f}" if abs(value) >= 1e-3 else f"{value:12.3e}"
 
 
+def _or_null(value):
+    """``value``, or ``None`` (JSON null) for the inf and NaN of a certified probe."""
+    return value if math.isfinite(value) else None
+
+
 def _parse_checks(text: str) -> tuple[float, ...]:
     try:
         checks = tuple(float(part) for part in text.split(",") if part.strip())
@@ -167,7 +172,10 @@ def cmd_sakiadis(args) -> Report:
         max_iterations=args.max_iterations, step_control=_step_control(args)))
     table = [f"{'j':>3} {'h*_j':>12} {'lambda_j':>12} {'Gamma(h*_j)':>12} "
              f"{'d2f/deta2(0)':>13}"]
-    table += [f"{it.j:>3} {it.h_star:>12.6f} {it.lam:>12.6f} "
+    # A probe certified below the root has no lambda, Gamma or f''(0) to print.
+    table += [f"{it.j:>3} {it.h_star:>12.6f} {'-':>12} {'-':>12} {'-':>13}"
+              if math.isinf(it.gamma) else
+              f"{it.j:>3} {it.h_star:>12.6f} {it.lam:>12.6f} "
               f"{_fmt_gamma(it.gamma)} {it.wall_shear:>13.6f}"
               for it in result.iterates]
     if result.converged:
@@ -180,8 +188,8 @@ def cmd_sakiadis(args) -> Report:
     return Report(
         config=_config(args, "root_finder", "h0", "h1", "sign", "eta_inf_star",
                        "gamma_tol", "abs_tol", "rel_tol", "max_iterations"),
-        iterates=[{"j": it.j, "h_star": it.h_star, "lambda": it.lam,
-                   "gamma": it.gamma, "wall_shear": it.wall_shear}
+        iterates=[{"j": it.j, "h_star": it.h_star, "lambda": _or_null(it.lam),
+                   "gamma": _or_null(it.gamma), "wall_shear": _or_null(it.wall_shear)}
                   for it in result.iterates],
         final={"converged": result.converged, "h_star": result.final_h_star,
                "lambda": result.final_lambda, "wall_shear": result.final_wall_shear,

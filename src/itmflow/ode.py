@@ -117,6 +117,7 @@ class StepControl:
     min_step: float = 1e-12
     max_step: float | None = None
     max_steps: int = DEFAULT_MAX_STEPS
+    stop: Callable[[float, list], None] | None = None
 
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol", "initial_step", "min_step"):
@@ -136,6 +137,8 @@ class StepControl:
             raise ValueError(f"max_steps must be an integer, got {self.max_steps!r}") from None
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
+        if not (self.stop is None or callable(self.stop)):
+            raise ValueError(f"stop must be callable or None, got {self.stop!r}")
 
 
 class Trajectory:
@@ -203,17 +206,6 @@ def _step_limit(eta) -> StepLimitError:
     return StepLimitError(f"exceeded step budget near eta = {eta:.6g}", eta)
 
 
-def _first_slope(rhs, eta, state, dim) -> list:
-    """``rhs(eta, state)`` as a list, checked for shape ``(dim,)`` and finiteness."""
-    k = rhs(eta, state)
-    if k.shape != (dim,):
-        raise ValueError(f"rhs returned shape {k.shape}, system dimension is {dim}")
-    k = k.tolist()
-    if not _finite(k):
-        raise _blow_up(eta)
-    return k
-
-
 def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Trajectory:
     """Integrate with step-doubling error control.
 
@@ -224,19 +216,25 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
 
     Returns the accepted samples, both endpoints included (the last abscissa
     is exactly ``spec.end``).  Raises :class:`BlowUpError`,
-    :class:`StepUnderflowError` or :class:`StepLimitError`, or a plain
-    :class:`IntegrationError` when the error estimate is not a number.
+    :class:`StepUnderflowError` or :class:`StepLimitError`, a plain
+    :class:`IntegrationError` when the error estimate is not a number, or
+    whatever ``control.stop`` raises.
     """
     control = StepControl() if control is None else control
     rhs, start, end = spec.system.rhs, spec.start, spec.end
     abs_tol, rel_tol = control.abs_tol, control.rel_tol
-    min_step, max_steps = control.min_step, control.max_steps
+    min_step, max_steps, stop = control.min_step, control.max_steps, control.stop
     max_step = (end - start) / 4.0 if control.max_step is None else control.max_step
     state = spec.initial_state.copy()
     y = state.tolist()
     eta = start
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        k1 = _first_slope(rhs, eta, state, spec.system.dim)
+        k1 = rhs(eta, state)
+        if k1.shape != state.shape:
+            raise ValueError(f"rhs returned shape {k1.shape}, system dimension is {state.size}")
+        k1 = k1.tolist()
+        if not _finite(k1):
+            raise _blow_up(eta)
         etas, states = [eta], [state]
         h = min(control.initial_step, end - start, max_step)
         attempts = 0
@@ -269,6 +267,8 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
                     raise _blow_up(eta)
                 etas.append(eta)
                 states.append(state)
+                if stop is not None:
+                    stop(eta, y)
                 fac = 5.0 if ratio == 0.0 else min(_SAFETY * ratio ** -0.2, 5.0)
                 h = max(min(h * fac, max_step), min_step)
             else:

@@ -3,7 +3,8 @@
 A sign change of Gamma between neighbouring grid points brackets a root;
 the number of brackets is a numerical existence/uniqueness probe for the
 underlying boundary value problem.  Probes that diverge are recorded as
-failed samples rather than aborting the sweep.
+failed samples rather than aborting the sweep; one whose far field is
+certified degenerate (lam^2 <= 0) still counts as Gamma = +inf in brackets.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 
 from .ode import IntegrationError, StepControl
 from .solver import ItmConfig, evaluate_gamma_at
+from .transform import DegenerateFarFieldError
 
 __all__ = [
     "ScanGrid", "ScanSample", "ScanReport", "ScanFailedError",
@@ -77,15 +79,15 @@ class ScanReport:
     verdict: str
 
 
-def _brackets_of(valid: list[ScanSample]) -> list[tuple[float, float]]:
+def _brackets_of(signed: list[tuple[float, float]]) -> list[tuple[float, float]]:
     out = []
-    for a, b in zip(valid, valid[1:]):
-        if a.gamma == 0.0:
-            out.append((a.h_star, a.h_star))
-        elif a.gamma * b.gamma < 0.0:
-            out.append((a.h_star, b.h_star))
-    if valid and valid[-1].gamma == 0.0:
-        out.append((valid[-1].h_star, valid[-1].h_star))
+    for (ha, ga), (hb, gb) in zip(signed, signed[1:]):
+        if ga == 0.0:
+            out.append((ha, ha))
+        elif ga * gb < 0.0:
+            out.append((ha, hb))
+    if signed and signed[-1][1] == 0.0:
+        out.append((signed[-1][0], signed[-1][0]))
     return out
 
 
@@ -113,24 +115,30 @@ def scan(grid: ScanGrid, sign: int, eta_inf_star: float = 10.0,
     exactly one bracket with no failed probe inside it, ``no_zero`` /
     ``multiple_zeros`` by bracket count, and ``inconclusive`` when a
     bracket touches a grid edge or contains a failed probe.  A probe fails by
-    raising an :class:`IntegrationError`; if all fail, :class:`ScanFailedError` is raised.
+    raising an :class:`IntegrationError`; a :class:`DegenerateFarFieldError`
+    certifies Gamma = +inf there, and such a probe ends brackets like a
+    positive Gamma.  If no probe gives a Gamma value,
+    :class:`ScanFailedError` is raised.
     """
     config = ItmConfig(sign=sign, eta_inf_star=eta_inf_star,
                        step_control=StepControl() if step_control is None else step_control)
     samples = []
+    signed = []  # (h*, Gamma) of every probe with a Gamma value or a certified +inf
     for h_star in grid.points():
         h = float(h_star)
         try:
             evaluation = evaluate_gamma_at(h, config)
             samples.append(ScanSample(h, evaluation.gamma, evaluation.lam, False))
-        except IntegrationError:
+            signed.append((h, evaluation.gamma))
+        except IntegrationError as exc:
             samples.append(ScanSample(h, math.nan, math.nan, True))
-    valid = [s for s in samples if not s.failed]
-    if not valid:
+            if isinstance(exc, DegenerateFarFieldError):
+                signed.append((h, math.inf))
+    if all(s.failed for s in samples):
         raise ScanFailedError(
             f"every probe failed on [{grid.h_min:.6g}, {grid.h_max:.6g}] with sign {sign:+d}"
         )
-    brackets = _brackets_of(valid)
+    brackets = _brackets_of(signed)
     return ScanReport(samples=samples, brackets=brackets,
                       verdict=_verdict_of(samples, brackets))
 

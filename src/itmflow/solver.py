@@ -9,14 +9,14 @@ solve plus a far-field agreement check across truncated boundaries.
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .models import (AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, VALID_SIGNS,
                      augmented_ic, blasius_star_ic, sakiadis_star_ic)
 from .ode import IvpSpec, StepControl, Trajectory, integrate_adaptive
-from .transform import GammaEvaluation, rescale_trajectory, topfer_reduce
+from .transform import DegenerateFarFieldError, GammaEvaluation, rescale_trajectory, topfer_reduce
 
 __all__ = [
     "SECANT", "NEWTON", "ItmConfig", "ItmIterate", "ItmResult", "TopferResult",
@@ -92,7 +92,11 @@ class ItmConfig:
 
 @dataclass(frozen=True)
 class ItmIterate:
-    """One root-finder row: iterate index, h*, group parameter, Gamma, rescaled f''(0)."""
+    """One root-finder row: iterate index, h*, group parameter, Gamma, rescaled f''(0).
+
+    A probe certified below the root (lam^2 <= 0) has ``gamma = inf`` and NaN
+    ``lam`` and ``wall_shear``.
+    """
 
     j: int
     h_star: float
@@ -134,12 +138,25 @@ def _evaluate(h_star, sign, eta_inf_star, control, with_derivative):
     Integrates the starred IVP (the 6-equation augmented system when
     ``with_derivative``) to the truncated boundary and reads the far field;
     returns the evaluation together with the raw starred trajectory.
-    Every failed probe raises an :class:`IntegrationError`.
+    Every failed probe raises an :class:`IntegrationError`.  On the sign -1
+    branch f' decreases, so the march stops with a
+    :class:`DegenerateFarFieldError` at the first accepted sample where
+    ``f' + sqrt(h*) <= 0``: lam^2 <= 0 at the boundary is then certain.
     """
     if with_derivative:
         initial, system = augmented_ic(h_star), AUGMENTED_SYSTEM
     else:
         initial, system = sakiadis_star_ic(h_star, sign), SIMILARITY_SYSTEM
+    if sign == -1:
+        root = float(initial[1])
+
+        def certify(eta, y):
+            if y[1] + root <= 0.0:
+                raise DegenerateFarFieldError(
+                    f"f' + sqrt(h*) = {y[1] + root:.6g} is not positive at eta = {eta:.6g}; "
+                    "lam^2 <= 0 at the truncated boundary", eta)
+
+        control = replace(control, stop=certify)
     traj = integrate_adaptive(IvpSpec(0.0, eta_inf_star, initial, system), control)
     far = traj.states[-1]
     sensitivity = float(far[4]) if with_derivative else None
@@ -182,26 +199,40 @@ def solve_sakiadis(config: ItmConfig | None = None) -> ItmResult:
 
     Every Gamma evaluation is recorded as an :class:`ItmIterate` (including
     the seeds), mirroring the iteration tables the method produces.
-    Convergence is ``|Gamma| <= gamma_tol``; a proposed nonpositive h* is
-    replaced by half the previous iterate.  When the iteration budget runs
-    out the result carries ``converged=False``.
+    Convergence is ``|Gamma| <= gamma_tol``.  A probe with a certified
+    degenerate far field counts as Gamma = +inf.  Once both signs occur they
+    bracket the root, and a secant or Newton step that leaves the bracket is
+    replaced by an Illinois step (bisection next to a certified end).
+    Before that, an unusable step doubles h* after a positive Gamma and
+    halves it after a negative one.  When the iteration budget runs out, or
+    a sign +1 probe after the seeds has Gamma <= -3/4 (f'' > 0 gives
+    lam^4 > 4 h*: no root), the result carries ``converged=False``.
 
     Raises :class:`RootFinderBreakdownError` on a flat secant or a vanishing
-    Newton derivative, and propagates every failed probe as an
-    :class:`IntegrationError`.
+    Newton derivative with no bracket, and propagates every other failed
+    probe as an :class:`IntegrationError`.
     """
     config = ItmConfig() if config is None else config
     newton = config.root_finder == NEWTON
     iterates: list[ItmIterate] = []
     latest = []  # (evaluation, starred trajectory) of the last two probes, newest first
+    ends = {}  # Gamma > 0 -> [h*, Illinois weight] of the newest probe with that sign
 
     def probe(h_star):
-        evaluation, traj = _evaluate(h_star, config.sign, config.eta_inf_star,
-                                     config.step_control, newton)
+        try:
+            evaluation, traj = _evaluate(h_star, config.sign, config.eta_inf_star,
+                                         config.step_control, newton)
+            lam, gamma = evaluation.lam, evaluation.gamma
+        except DegenerateFarFieldError:
+            evaluation = traj = None
+            lam, gamma = math.nan, math.inf
         # The missing initial curvature maps back as lam^-3 f*''(0).
-        iterates.append(ItmIterate(j=len(iterates), h_star=float(h_star),
-                                   lam=evaluation.lam, gamma=evaluation.gamma,
-                                   wall_shear=float(config.sign) / evaluation.lam ** 3))
+        iterates.append(ItmIterate(j=len(iterates), h_star=float(h_star), lam=lam,
+                                   gamma=gamma, wall_shear=float(config.sign) / lam ** 3))
+        side = gamma > 0.0
+        if len(iterates) > 1 and (iterates[-2].gamma > 0.0) == side and (not side) in ends:
+            ends[not side][1] *= 0.5  # Illinois: an end kept twice running has its weight halved
+        ends[side] = [float(h_star), gamma]
         latest[:] = [(evaluation, traj)] + latest[:1]
 
     probe(config.h0)
@@ -210,28 +241,39 @@ def solve_sakiadis(config: ItmConfig | None = None) -> ItmResult:
     while True:
         # Only the secant seed h0 can converge as the older of the two probes.
         for age, (evaluation, traj) in enumerate(latest):
-            if abs(evaluation.gamma) <= config.gamma_tol:
+            if evaluation is not None and abs(evaluation.gamma) <= config.gamma_tol:
                 return _finalize(iterates, iterates[-1 - age], traj)
-        if len(iterates) >= config.max_iterations:
+        newest = iterates[-1]
+        if len(iterates) >= config.max_iterations or (config.sign == 1 and newest.gamma <= -0.75):
             return ItmResult(iterates=iterates, converged=False)
+        bracket = sorted(ends.values()) if len(ends) == 2 else None
         cur = latest[0][0]
-        if newton:
-            if abs(cur.dgamma_dh) < _MIN_DERIVATIVE:
+        h_next = math.nan
+        if newton and cur is not None:
+            if abs(cur.dgamma_dh) >= _MIN_DERIVATIVE:
+                h_next = cur.h_star - cur.gamma / cur.dgamma_dh
+            elif bracket is None:
                 raise RootFinderBreakdownError(
                     f"newton breakdown: |dGamma/dh*| = {abs(cur.dgamma_dh):.3g} at "
                     f"h* = {cur.h_star:.6g}"
                 )
-            h_next = cur.h_star - cur.gamma / cur.dgamma_dh
-        else:
+        elif not newton and cur is not None and latest[1][0] is not None:
             prev = latest[1][0]
-            if cur.gamma == prev.gamma:
+            if cur.gamma != prev.gamma:
+                h_next = cur.h_star - cur.gamma * (cur.h_star - prev.h_star) \
+                    / (cur.gamma - prev.gamma)
+            elif bracket is None:
                 raise RootFinderBreakdownError(
                     f"secant breakdown: Gamma({prev.h_star:.6g}) == Gamma({cur.h_star:.6g})"
                 )
-            h_next = cur.h_star - cur.gamma * (cur.h_star - prev.h_star) \
-                / (cur.gamma - prev.gamma)
-        if h_next <= 0.0:
-            h_next = 0.5 * cur.h_star
+        if bracket is not None:
+            (a, ga), (b, gb) = bracket
+            if not a < h_next < b:
+                h_next = (a * gb - b * ga) / (gb - ga)  # NaN next to a certified end
+                if not a < h_next < b:
+                    h_next = 0.5 * (a + b)
+        elif not h_next > 0.0:
+            h_next = 2.0 * newest.h_star if newest.gamma > 0.0 else 0.5 * newest.h_star
         probe(h_next)
 
 

@@ -22,7 +22,8 @@ class DegenerateFarFieldError(IntegrationError):
     """``far_slope + sqrt(h*)`` was not a positive finite number.
 
     This is the algebraic signature of a diverged IVP (or an invalid h*):
-    the group parameter would not be real.
+    the group parameter would not be real.  A sign -1 probe raises it at the
+    first sample where f' + sqrt(h*) <= 0, with ``eta`` locating that sample.
     """
 
 

@@ -221,3 +221,19 @@ def test_criterion_10_byte_identical_reruns(argv, tmp_path, capsys):
     with capsys.disabled():
         _report(10, ok, f"{' '.join(argv)} reruns byte-identical")
     assert ok
+
+
+@pytest.mark.parametrize("root_finder", ["secant", "newton"])
+def test_criterion_11_truncated_boundary_twenty(root_finder):
+    # The default seeds at eta_inf* = 20: the seed h* = 2.5 is certified
+    # below the root, and the bracketing solve converges to the
+    # eta-converged value -0.4437483 (measured error 1.37e-8).
+    tight = StepControl(abs_tol=1e-11, rel_tol=1e-11)
+    res = solve_sakiadis(ItmConfig(root_finder=root_finder,
+                                   h1=3.5 if root_finder == "secant" else None,
+                                   eta_inf_star=20.0, gamma_tol=1e-11, step_control=tight))
+    err = abs(res.final_wall_shear + 0.4437483) if res.converged else math.inf
+    ok = res.converged and err <= 1e-7
+    _report(11, ok, f"{root_finder} at eta_inf*=20: |f''(0) + 0.4437483| = {err:.2e} "
+                    f"in {res.gamma_evaluations} evaluations")
+    assert ok, err

@@ -62,16 +62,26 @@ class TestExitCodes:
         assert code == 2
         assert "agree" in err
 
-    def test_blowup_exit(self, capsys):
-        code, _, err = run_cli(capsys, "sakiadis", "--h0", "0.5", "--h1", "0.6")
-        assert code == 3
-        assert "integration failed" in err
+    def test_diverging_seeds_converge(self, capsys):
+        # Both seeds lie below the root and are certified: h* doubles until
+        # a probe lands above the root, and the bracket closes on it.
+        code, out, err = run_cli(capsys, "sakiadis", "--h0", "0.5", "--h1", "0.6")
+        assert code == 0
+        assert err == ""
+        assert "f''(0) = -0.443761" in out
 
-    def test_degenerate_far_field_exit(self, capsys):
+    def test_degenerate_far_field_seed_converges(self, capsys):
+        # At eta_inf = 15 the seed h* = 2.5 is certified below the root.
         code, out, err = run_cli(capsys, "sakiadis", "--eta-inf", "15")
-        assert code == 3
-        assert out == ""
-        assert "integration failed: far_slope + sqrt(h*)" in err
+        assert code == 0
+        assert err == ""
+        assert "f''(0) = -0.443748" in out
+
+    def test_positive_sign_exits_two(self, capsys):
+        # Every sign +1 probe has Gamma < -3/4: no root, stop after the seeds.
+        code, out, _ = run_cli(capsys, "sakiadis", "--sign", "1", "--max-iterations", "8")
+        assert code == 2
+        assert out.endswith("not converged after 2 Gamma evaluations\n")
 
     def test_step_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ITM_MAX_STEPS", "10")
@@ -118,6 +128,20 @@ class TestSakiadisCommand:
         assert doc["final"]["gamma_evaluations"] == len(doc["iterates"]) == 10
         assert abs(doc["final"]["wall_shear"] - (-0.443761)) <= 1e-5
         assert {"j", "h_star", "lambda", "gamma", "wall_shear"} == set(doc["iterates"][0])
+
+    def test_certified_probe_renders_without_numbers(self, capsys):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        code, out, _ = run_cli(capsys, "sakiadis", "--h0", "0.5", "--h1", "0.6",
+                               "--format", "json")
+        assert code == 0
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["iterates"][0] == {"j": 0, "h_star": 0.5, "lambda": None,
+                                      "gamma": None, "wall_shear": None}
+        assert doc["final"]["converged"] is True
+        code, out, _ = run_cli(capsys, "sakiadis", "--h0", "0.5", "--h1", "0.6")
+        assert out.splitlines()[1].split() == ["0", "0.500000", "-", "-", "-"]
 
     def test_verbose_metadata_on_stderr(self, capsys):
         code, out, err = run_cli(capsys, "sakiadis", "--verbose")

@@ -184,6 +184,32 @@ class TestIntegrateAdaptive:
             integrate_adaptive(spec, control)
 
 
+class TestTerminalEvent:
+    def test_stop_sees_every_accepted_sample(self):
+        seen = []
+        control = StepControl(stop=lambda eta, y: seen.append((eta, y)))
+        traj = integrate_adaptive(IvpSpec(0.0, 1.0, np.array([1.0, 0.0]), HARMONIC), control)
+        assert [eta for eta, _ in seen] == traj.etas[1:].tolist()
+        assert [y for _, y in seen] == traj.states[1:].tolist()
+        assert all(type(y) is list for _, y in seen)
+
+    def test_stop_ends_the_march(self):
+        def stop(eta, y):
+            if y[0] >= 2.0:
+                raise IntegrationError("crossed 2", eta)
+
+        with pytest.raises(IntegrationError, match="crossed 2") as err:
+            integrate_adaptive(IvpSpec(0.0, 2.0, np.array([1.0]), EXP_1D),
+                               StepControl(stop=stop))
+        # the first accepted sample past eta = ln 2
+        assert math.log(2.0) <= err.value.eta < 1.0
+
+    @pytest.mark.parametrize("stop", [1.0, "stop"])
+    def test_stop_must_be_callable(self, stop):
+        with pytest.raises(ValueError, match="stop must be callable or None"):
+            StepControl(stop=stop)
+
+
 class TestRhsContract:
     # One march is left; the id still names it.
     @pytest.mark.parametrize("integrate", [integrate_adaptive], ids=["adaptive"])

@@ -107,6 +107,15 @@ class TestVerdicts:
         assert [s.failed for s in report.samples] == [True, False, False]
         assert all(math.isfinite(s.gamma) for s in report.samples[1:])
 
+    def test_certified_probe_closes_bracket(self):
+        # 2.246 lies below the failure threshold h* ~ 2.27 and 2.960 just above
+        # the root: the certified probe (Gamma = +inf) brackets the root.
+        report = scan(ScanGrid(0.8183684261020763, 28.66412517524943, 40), -1)
+        assert report.verdict == "unique_zero"
+        assert report.brackets == [(2.2463559516993765, 2.9603497144980264)]
+        assert [s.failed for s in report.samples[:4]] == [True, True, True, False]
+        assert math.isnan(report.samples[2].gamma)
+
     def test_edge_touching_bracket_is_inconclusive(self):
         # the sign change sits on the very first grid interval
         report = scan(ScanGrid(2.5, 3.0, 2), -1)

@@ -180,6 +180,74 @@ class TestNewton:
             solve_sakiadis(ItmConfig(root_finder="newton"))
 
 
+class TestCertifiedBracketing:
+    """Probes certified below the root, the bracket they close, and the sign +1 stop."""
+
+    # Secant seeds from a solve pool whose first probe lies near the pole of
+    # Gamma: false position from Gamma = 141.7 crept along the far end.
+    STALL = ItmConfig(h0=2.0681216542641616, h1=2.5405150702502732, eta_inf_star=15.0,
+                      step_control=StepControl(abs_tol=1e-6, rel_tol=1e-6))
+
+    @pytest.mark.parametrize("evaluate", [evaluate_gamma_at, evaluate_gamma_with_derivative])
+    def test_probe_stops_at_certified_crossing(self, evaluate):
+        # f' + sqrt(h*) crosses zero near eta = 1.7 at h* = 0.5; the march
+        # used to run on to a step underflow near eta = 5.
+        with pytest.raises(DegenerateFarFieldError) as err:
+            evaluate(0.5)
+        assert 1.5 < err.value.eta < 1.9
+        assert "is not positive at eta = 1.68863" in str(err.value)
+
+    def test_certified_seeds_converge(self):
+        res = solve_sakiadis(ItmConfig(h0=0.5, h1=0.6))
+        assert res.converged
+        assert abs(res.final_wall_shear - ROOT_SHEAR) <= 1e-5
+        first = res.iterates[0]
+        assert first.gamma == math.inf
+        assert math.isnan(first.lam) and math.isnan(first.wall_shear)
+        # no bracket yet: a certified probe doubles h*
+        assert [it.h_star for it in res.iterates[1:4]] == [0.6, 1.2, 2.4]
+
+    def test_newton_from_certified_seed(self):
+        res = solve_sakiadis(ItmConfig(root_finder="newton", h0=0.5, h1=None))
+        assert res.converged
+        assert abs(res.final_h_star - ROOT_H) <= 1e-5
+        assert [it.h_star for it in res.iterates[:4]] == [0.5, 1.0, 2.0, 4.0]
+        # Newton leaves the bracket [2, 4], whose lower end is certified: bisect
+        assert res.iterates[4].h_star == 3.0
+
+    def test_stall_case_converges(self):
+        res = solve_sakiadis(self.STALL)
+        assert res.converged
+        assert res.gamma_evaluations <= 25
+        assert abs(res.final_wall_shear - (-0.4437483)) <= 1e-6
+        # every probe after the bracket closed lies strictly inside it
+        h = [it.h_star for it in res.iterates]
+        for k in range(3, len(h)):
+            pos = max(x for x, it in zip(h[:k], res.iterates) if it.gamma > 0)
+            neg = min(x for x, it in zip(h[:k], res.iterates) if it.gamma < 0)
+            assert pos < h[k] < neg
+
+    @pytest.mark.parametrize("max_iterations", [5, 50])
+    def test_positive_sign_stops_after_seeds(self, max_iterations):
+        res = solve_sakiadis(ItmConfig(sign=1, max_iterations=max_iterations))
+        assert not res.converged
+        assert res.gamma_evaluations == 2
+        assert all(it.gamma <= -0.75 for it in res.iterates)
+
+    def test_flat_secant_inside_bracket_does_not_break_down(self, monkeypatch):
+        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 3)) + [0.0, 1.0, -1.0])
+
+        def step_evaluate(h_star, sign, eta_inf, control, with_derivative):
+            return GammaEvaluation(h_star, 0.0, 1.2, 1.0 if h_star < 3.0 else -1.0), traj
+
+        monkeypatch.setattr(solver_mod, "_evaluate", step_evaluate)
+        res = solve_sakiadis(ItmConfig(h0=2.0, h1=4.0, max_iterations=12))
+        assert not res.converged
+        assert res.gamma_evaluations == 12
+        assert all(2.0 < it.h_star < 4.0 for it in res.iterates[2:])
+        assert abs(res.iterates[-1].h_star - 3.0) < 0.05
+
+
 class TestRescaledSolution:
     def test_boundary_conditions(self):
         res = solve_sakiadis()
