@@ -23,14 +23,14 @@ VALID_SIGNS = (1, -1)
 
 def _similarity_rhs(eta, y):
     """(f, f', f'') -> (f', f'', -f f''/2)."""
-    f, fp, fpp = y.tolist()
-    return np.array([fp, fpp, -0.5 * f * fpp])
+    f, fp, fpp = y
+    return [fp, fpp, -0.5 * f * fpp]
 
 
 def _augmented_rhs(eta, y):
     """(u1..u6) -> (u2, u3, -u1 u3/2, u5, u6, -(u4 u3 + u1 u6)/2)."""
-    u1, u2, u3, u4, u5, u6 = y.tolist()
-    return np.array([u2, u3, -0.5 * u1 * u3, u5, u6, -0.5 * (u4 * u3 + u1 * u6)])
+    u1, u2, u3, u4, u5, u6 = y
+    return [u2, u3, -0.5 * u1 * u3, u5, u6, -0.5 * (u4 * u3 + u1 * u6)]
 
 
 SIMILARITY_SYSTEM = OdeSystem(rhs=_similarity_rhs, dim=3)

@@ -3,16 +3,16 @@
 Provides one adaptive step-doubling march (one full step checked against two
 half steps, Richardson-extrapolated acceptance).
 
-``rhs(eta, y)`` receives a fresh float ndarray of shape ``(dim,)``, must return
-an ndarray of the same shape and must not modify its argument.  Between calls
-the march carries states and slopes as Python floats, which on a few elements
-costs far less than numpy dispatch and gives bit-identical results.
+``rhs(eta, y)`` receives a fresh list of ``dim`` Python floats, must return a
+sequence of ``dim`` floats and must not modify its argument; a rhs written with
+numpy expressions (``y ** 2``) must call ``np.asarray(y)`` itself.  The march
+stays on Python floats, which on a few elements cost far less than numpy.
 """
 
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,11 +57,11 @@ class StepLimitError(IntegrationError):
 class OdeSystem:
     """First-order system ``dy/deta = rhs(eta, y)`` of fixed dimension.
 
-    ``rhs`` receives a fresh float ndarray of shape ``(dim,)``, must return an
-    ndarray of the same shape and must not modify its argument.
+    ``rhs`` receives a fresh list of ``dim`` Python floats, must return a
+    sequence of ``dim`` floats and must not modify its argument.
     """
 
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    rhs: Callable[[float, list], Sequence[float]]
     dim: int
 
     def __post_init__(self):
@@ -108,7 +108,8 @@ class StepControl:
     Acceptance is per component against ``abs_tol + rel_tol * |y_i|``.
     ``max_step=None`` resolves to a quarter of the integration span.  A
     march starts at ``min(initial_step, span, max_step)``.  ``max_steps``
-    caps the step attempts of one integration.
+    caps the step attempts of one integration.  ``stop(eta, y)``, if set, sees
+    each accepted state as a float list it must not modify, and ends the march by raising.
     """
 
     abs_tol: float = 1e-6
@@ -182,14 +183,14 @@ class Trajectory:
 def _rk4(rhs, eta, y, k1, h):
     """One classical four-stage RK4 update over ``[eta, eta + h]``, given ``k1 = rhs(eta, y)``.
 
-    States and slopes are float lists; every operation keeps the order of the
-    ndarray form ``y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``.
+    States and slopes are float sequences; every operation keeps the order of
+    the ndarray form ``y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``.
     """
     hh = 0.5 * h
     mid = eta + hh
-    k2 = rhs(mid, np.array([a + hh * b for a, b in zip(y, k1)])).tolist()
-    k3 = rhs(mid, np.array([a + hh * b for a, b in zip(y, k2)])).tolist()
-    k4 = rhs(eta + h, np.array([a + h * b for a, b in zip(y, k3)])).tolist()
+    k2 = rhs(mid, [a + hh * b for a, b in zip(y, k1)])
+    k3 = rhs(mid, [a + hh * b for a, b in zip(y, k2)])
+    k4 = rhs(eta + h, [a + h * b for a, b in zip(y, k3)])
     h6 = h / 6.0
     return [a + h6 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
 
@@ -225,17 +226,16 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
     abs_tol, rel_tol = control.abs_tol, control.rel_tol
     min_step, max_steps, stop = control.min_step, control.max_steps, control.stop
     max_step = (end - start) / 4.0 if control.max_step is None else control.max_step
-    state = spec.initial_state.copy()
-    y = state.tolist()
+    y = spec.initial_state.tolist()
     eta = start
+    etas, states = [eta], [tuple(y)]
+    # A rhs may return an ndarray; its numpy scalars must overflow silently.
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        k1 = rhs(eta, state)
-        if k1.shape != state.shape:
-            raise ValueError(f"rhs returned shape {k1.shape}, system dimension is {state.size}")
-        k1 = k1.tolist()
+        k1 = rhs(eta, y)
+        if np.shape(k1) != (len(y),):
+            raise ValueError(f"rhs returned shape {np.shape(k1)}, system dimension is {len(y)}")
         if not _finite(k1):
             raise _blow_up(eta)
-        etas, states = [eta], [state]
         h = min(control.initial_step, end - start, max_step)
         attempts = 0
         while eta < end:
@@ -250,7 +250,7 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
             y_full = _rk4(rhs, eta, y, k1, h)
             y_mid = _rk4(rhs, eta, y, k1, hh)
             mid = eta + hh
-            y_two = _rk4(rhs, mid, y_mid, rhs(mid, np.array(y_mid)).tolist(), hh)
+            y_two = _rk4(rhs, mid, y_mid, rhs(mid, y_mid), hh)
             if not (_finite(y_full) and _finite(y_two)):
                 raise _blow_up(eta)
             errs = [abs(two - full) / (abs_tol + rel_tol * abs(v))
@@ -261,12 +261,11 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
             if ratio <= 1.0:
                 y = [two + (two - full) / 15.0 for two, full in zip(y_two, y_full)]
                 eta = end if last else eta + h
-                state = np.array(y)
-                k1 = rhs(eta, state).tolist()
+                etas.append(eta)
+                states.append(tuple(y))
+                k1 = rhs(eta, y)
                 if not (_finite(y) and _finite(k1)):
                     raise _blow_up(eta)
-                etas.append(eta)
-                states.append(state)
                 if stop is not None:
                     stop(eta, y)
                 fac = 5.0 if ratio == 0.0 else min(_SAFETY * ratio ** -0.2, 5.0)

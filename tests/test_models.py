@@ -40,6 +40,16 @@ class TestAugmentedRhs:
                                   SIMILARITY_SYSTEM.rhs(0.0, state[:3]))
 
 
+@pytest.mark.parametrize("system", [SIMILARITY_SYSTEM, AUGMENTED_SYSTEM],
+                         ids=["similarity", "augmented"])
+def test_rhs_returns_python_floats(system):
+    # The march's float arithmetic stays off numpy only while the model
+    # right-hand sides hand back plain floats, never numpy scalars.
+    out = system.rhs(0.0, [0.1 * (i + 1) for i in range(system.dim)])
+    assert len(out) == system.dim
+    assert all(type(v) is float for v in out)
+
+
 class TestInitialConditions:
     def test_blasius_unit_curvature(self):
         assert np.array_equal(blasius_star_ic(), [0.0, 0.0, 1.0])

@@ -25,7 +25,7 @@ def _cosine(eta, y):
     return np.array([math.cos(eta)])
 
 def _square(eta, y):
-    return y * y
+    return [v * v for v in y]
 
 
 ZERO_1D = OdeSystem(_const_zero, 1)
@@ -219,26 +219,59 @@ class TestRhsContract:
         received = []
 
         def recording(eta, y):
-            assert type(y) is np.ndarray
-            assert y.dtype == np.float64 and y.shape == (system.dim,)
+            assert type(y) is list and len(y) == system.dim
+            assert all(type(v) is float for v in y)
             received.append(y)
             return system.rhs(eta, y)
 
         spec = IvpSpec(0.0, 1.0, np.full(system.dim, 0.5), OdeSystem(recording, system.dim))
         traj = integrate(spec, StepControl(abs_tol=1e-10, rel_tol=1e-10, initial_step=1.0))
-        # Every call got its own array (all are still alive, so ids are unique).
+        # Every call got its own list (all are still alive, so ids are unique).
         assert len({id(y) for y in received}) == len(received)
         # One start call, 11 per accepted step and 10 per rejected one:
         # the oversized first step must have been rejected.
         assert len(received) > 1 + 11 * (len(traj) - 1)
 
+    def test_rhs_that_mutates_its_argument_leaves_states_untouched(self):
+        # The rhs overwrites a component whose slope is zero: every stored
+        # sample must be what the rhs was given, not what it left behind.
+        given = []
+
+        def overwriting(eta, y):
+            given.append(tuple(y))
+            y[1] = 7.0
+            return [1.0, 0.0]
+
+        spec = IvpSpec(0.0, 1.0, np.zeros(2), OdeSystem(overwriting, 2))
+        traj = integrate_adaptive(spec)
+        assert traj.states[0].tolist() == [0.0, 0.0]
+        assert {tuple(state) for state in traj.states.tolist()} <= set(given)
+
     @pytest.mark.parametrize("integrate", [integrate_adaptive], ids=["adaptive"])
-    @pytest.mark.parametrize("shape", [(1,), (2,), (4,), (1, 3)], ids=str)
+    @pytest.mark.parametrize("shape", [(1,), (2,), (4,), (1, 3), (3, 1)], ids=str)
     def test_wrong_rhs_shape_is_rejected(self, integrate, shape):
         spec = IvpSpec(0.0, 1.0, np.ones(3), OdeSystem(lambda eta, y: np.ones(shape), 3))
         message = f"rhs returned shape {shape}, system dimension is 3"
         with pytest.raises(ValueError, match=re.escape(message)):
             integrate(spec)
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_wrong_length_list_is_rejected(self, length):
+        spec = IvpSpec(0.0, 1.0, np.ones(3), OdeSystem(lambda eta, y: [1.0] * length, 3))
+        message = f"rhs returned shape ({length},), system dimension is 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            integrate_adaptive(spec)
+
+    def test_ndarray_rhs_still_integrates(self):
+        # numpy scalars in place of floats: the same arithmetic, bit for bit
+        def as_ndarray(eta, y):
+            return np.array(SIMILARITY_SYSTEM.rhs(eta, y))
+
+        ic = sakiadis_star_ic(2.5)
+        lists = integrate_adaptive(IvpSpec(0.0, 10.0, ic, SIMILARITY_SYSTEM))
+        arrays = integrate_adaptive(IvpSpec(0.0, 10.0, ic, OdeSystem(as_ndarray, 3)))
+        assert np.array_equal(arrays.etas, lists.etas)
+        assert np.array_equal(arrays.states, lists.states)
 
 
 class TestValidation:

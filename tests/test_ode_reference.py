@@ -1,7 +1,8 @@
 """The list-of-floats RK4 kernel against the ndarray kernel it replaced.
 
 ``_rk4`` and ``reference_adaptive`` below are the ndarray versions of the
-adaptive march, kept verbatim as the reference.  The library kernel carries
+adaptive march, kept verbatim as the reference; an adapter hands them the
+library's float-list rhs as an ndarray one.  The library kernel carries
 states as Python floats but keeps every float operation in the same order,
 so trajectories, errors and the whole sequence of rhs calls must match bit
 for bit; regrouping any of the arithmetic fails here.
@@ -78,7 +79,12 @@ def reference_adaptive(spec, control=None):
 
 
 def _square(eta, y):
-    return y * y
+    return [v * v for v in y]
+
+
+def _ndarray_rhs(rhs):
+    """``rhs`` with the ndarray argument and result the reference kernel expects."""
+    return lambda eta, y: np.array(rhs(eta, y.tolist()))
 
 
 def _ivp(h_star, sign):
@@ -98,16 +104,16 @@ ADAPTIVE_CASES = {
 }
 
 
-def _outcome(integrate, spec, *args):
+def _outcome(integrate, spec, *args, adapt=lambda rhs: rhs):
     """(rhs calls as bytes, trajectory or error) of one integration."""
     calls = []
 
     def recording(eta, y):
-        calls.append((struct.pack("<d", eta), y.tobytes()))
+        calls.append((struct.pack("<d", eta), struct.pack(f"<{len(y)}d", *y)))
         return spec.system.rhs(eta, y)
 
     wrapped = IvpSpec(spec.start, spec.end, spec.initial_state,
-                      OdeSystem(recording, spec.system.dim))
+                      OdeSystem(adapt(recording), spec.system.dim))
     try:
         traj = integrate(wrapped, *args)
     except IntegrationError as exc:
@@ -133,4 +139,4 @@ def _assert_same(library, reference):
 def test_adaptive_matches_reference(case):
     spec, control = ADAPTIVE_CASES[case]
     _assert_same(_outcome(integrate_adaptive, spec, control),
-                 _outcome(reference_adaptive, spec, control))
+                 _outcome(reference_adaptive, spec, control, adapt=_ndarray_rhs))
