@@ -19,15 +19,12 @@ import numpy as np
 __all__ = [
     "BACKEND", "OdeSystem", "IvpSpec", "StepControl", "Trajectory",
     "IntegrationError", "BlowUpError", "StepUnderflowError", "StepLimitError",
-    "DEFAULT_MAX_STEPS", "integrate_adaptive",
+    "integrate_adaptive",
 ]
 
 # The one integration kernel: interpreted Python stepping over float lists.
 # Reported in run metadata (``--verbose``); not a setting.
 BACKEND = "numpy"
-
-# Step budget of every integration unless a caller passes its own.
-DEFAULT_MAX_STEPS = 10 ** 6
 
 # Damping of the adaptive march's (tol/err)^(1/5) step-size update.
 _SAFETY = 0.9
@@ -117,7 +114,7 @@ class StepControl:
     initial_step: float = 0.01
     min_step: float = 1e-12
     max_step: float | None = None
-    max_steps: int = DEFAULT_MAX_STEPS
+    max_steps: int = 10 ** 6
     stop: Callable[[float, list], None] | None = None
 
     def __post_init__(self):

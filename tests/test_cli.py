@@ -1,11 +1,12 @@
 """Command-line behaviour: exit codes, formats, stable machine output."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from itmflow.cli import _increase_percent, main
+from itmflow.cli import _increase_percent, main, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,10 +35,11 @@ class TestExitCodes:
         assert code == 1
 
     def test_single_eta_check_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "blasius", "--eta-checks", "4",
-                               "--agreement-tol", "1e-12")
-        assert code == 1
-        assert "two" in err
+        for checks in ("4", ""):
+            code, _, err = run_cli(capsys, "blasius", "--eta-checks", checks,
+                                   "--agreement-tol", "1e-12")
+            assert code == 1
+            assert "two" in err
 
     def test_infinite_agreement_tol_rejected(self, capsys):
         # JSON has no Infinity, so the config block could not be written
@@ -83,16 +85,22 @@ class TestExitCodes:
         assert code == 2
         assert out.endswith("not converged after 2 Gamma evaluations\n")
 
-    def test_step_budget_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ITM_MAX_STEPS", "10")
-        code, _, err = run_cli(capsys, "sakiadis")
-        assert code == 3
+    def test_step_budget_env_is_ignored(self, capsys, monkeypatch):
+        # The flags are the whole configuration: no environment variable is read.
+        for budget in ("10", "banana"):
+            monkeypatch.setenv("ITM_MAX_STEPS", budget)
+            code, out, err = run_cli(capsys, "sakiadis")
+            assert code == 0
+            assert err == ""
+            assert out.encode("utf-8") == (GOLDEN / "sakiadis.table").read_bytes()
 
-    def test_bad_step_budget_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ITM_MAX_STEPS", "banana")
-        code, _, err = run_cli(capsys, "sakiadis")
-        assert code == 1
-        assert "ITM_MAX_STEPS" in err
+    def test_console_script_entry_point(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["itmflow", "sakiadis"])
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == (GOLDEN / "sakiadis.table").read_bytes()
 
 
 class TestSakiadisCommand:
