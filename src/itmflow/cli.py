@@ -147,7 +147,7 @@ def _step_control(args) -> StepControl:
 
 
 def _trajectory_csv(traj) -> str:
-    rows = [",".join(map(_fmt, (eta, *state))) for eta, state in zip(traj.etas, traj.states)]
+    rows = [",".join(map(_fmt, row)) for row in traj.rows()]
     return "\n".join(["eta,f,df,ddf", *rows]) + "\n"
 
 

@@ -9,8 +9,6 @@ parameter h*, which Newton's root-finder needs.
 
 import math
 
-import numpy as np
-
 from .ode import OdeSystem
 
 __all__ = [
@@ -37,9 +35,9 @@ SIMILARITY_SYSTEM = OdeSystem(rhs=_similarity_rhs, dim=3)
 AUGMENTED_SYSTEM = OdeSystem(rhs=_augmented_rhs, dim=6)
 
 
-def blasius_star_ic() -> np.ndarray:
+def blasius_star_ic() -> tuple[float, ...]:
     """Unit-curvature Blasius start: (0, 0, 1)."""
-    return np.array([0.0, 0.0, 1.0])
+    return (0.0, 0.0, 1.0)
 
 
 def _check_h_star(h_star: float) -> float:
@@ -49,15 +47,15 @@ def _check_h_star(h_star: float) -> float:
     return h
 
 
-def sakiadis_star_ic(h_star: float, sign: int = -1) -> np.ndarray:
+def sakiadis_star_ic(h_star: float, sign: int = -1) -> tuple[float, ...]:
     """Sakiadis starred start: (0, sqrt(h*), sign) with sign = +-1."""
     h = _check_h_star(h_star)
     if sign not in VALID_SIGNS:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return np.array([0.0, math.sqrt(h), float(sign)])
+    return (0.0, math.sqrt(h), float(sign))
 
 
-def augmented_ic(h_star: float) -> np.ndarray:
+def augmented_ic(h_star: float) -> tuple[float, ...]:
     """Augmented start: (0, sqrt(h*), -1, 0, 1/(2 sqrt(h*)), 0).
 
     The curvature is pinned to -1: Newton mode only makes sense on the
@@ -65,4 +63,4 @@ def augmented_ic(h_star: float) -> np.ndarray:
     """
     h = _check_h_star(h_star)
     root = math.sqrt(h)
-    return np.array([0.0, root, -1.0, 0.0, 0.5 / root, 0.0])
+    return (0.0, root, -1.0, 0.0, 0.5 / root, 0.0)

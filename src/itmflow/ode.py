@@ -6,15 +6,17 @@ half steps, Richardson-extrapolated acceptance).
 ``rhs(eta, y)`` receives a fresh list of ``dim`` Python floats, must return a
 sequence of ``dim`` floats and must not modify its argument; a rhs written with
 numpy expressions (``y ** 2``) must call ``np.asarray(y)`` itself.  The march
-stays on Python floats, which on a few elements cost far less than numpy.
+stays on Python floats, which on a few elements cost far less than numpy, and
+this module does not import numpy: a :class:`Trajectory` builds its ndarrays
+only when a caller reads them.
 """
 
+import contextlib
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 __all__ = [
     "BACKEND", "OdeSystem", "IvpSpec", "StepControl", "Trajectory",
@@ -70,31 +72,51 @@ class OdeSystem:
             raise ValueError("system dimension must be positive")
 
 
+def _float_tuple(values) -> tuple:
+    """``values``, a flat sequence of numbers, as a tuple of floats.
+
+    Raises ``TypeError`` or ``ValueError`` for anything else.  An entry with a
+    length (a nested list, an array row, a string) is refused, because
+    ``float()`` would flatten a size-1 array row.
+    """
+    entries = tuple(values)
+    if any(hasattr(v, "__len__") for v in entries):
+        raise ValueError("a nested entry")
+    return tuple(map(float, entries))
+
+
 @dataclass(frozen=True)
 class IvpSpec:
     """An initial value problem on ``[start, end]``.
 
-    ``initial_state`` is coerced to a float vector and must match the system
-    dimension; ``end`` must lie strictly beyond ``start``.
+    ``start`` and ``end`` are coerced to floats and ``initial_state`` to a
+    tuple of floats, which must match the system dimension; ``end`` must lie
+    strictly beyond ``start``.
     """
 
     start: float
     end: float
-    initial_state: np.ndarray
+    initial_state: tuple[float, ...]
     system: OdeSystem
 
     def __post_init__(self):
-        state = np.asarray(self.initial_state, dtype=float)
-        object.__setattr__(self, "initial_state", state)
         if not (math.isfinite(self.start) and math.isfinite(self.end)):
             raise ValueError("start and end must be finite")
+        try:
+            state = _float_tuple(self.initial_state)
+        except (TypeError, ValueError):
+            raise ValueError("initial state must be a flat sequence of numbers, "
+                             f"got {self.initial_state!r}") from None
+        object.__setattr__(self, "start", float(self.start))
+        object.__setattr__(self, "end", float(self.end))
+        object.__setattr__(self, "initial_state", state)
         if not self.end > self.start:
             raise ValueError(f"end ({self.end}) must exceed start ({self.start})")
-        if state.shape != (self.system.dim,):
+        if len(state) != self.system.dim:
             raise ValueError(
-                f"initial state has shape {state.shape}, system dimension is {self.system.dim}"
+                f"initial state has shape ({len(state)},), system dimension is {self.system.dim}"
             )
-        if not np.all(np.isfinite(state)):
+        if not _finite(state):
             raise ValueError("initial state must be finite")
 
 
@@ -140,41 +162,84 @@ class StepControl:
 
 
 class Trajectory:
-    """Accepted integration samples.
+    """Accepted integration samples, held as float tuples.
+
+    ``rows()`` gives each sample as an ``(eta, *state)`` tuple and
+    ``final_state`` the last state; etas are strictly increasing, the first
+    equals the IVP start and the last equals its end.
 
     Attributes
     ----------
     etas : ndarray, shape (n,)
-        Strictly increasing sample abscissae; the first equals the IVP start
-        and the last equals its end.
+        Sample abscissae.
     states : ndarray, shape (n, dim)
         State at each sample.
+
+    Both arrays are built from the samples, importing numpy, on first
+    access, then cached read-only.
     """
 
-    __slots__ = ("etas", "states")
+    __slots__ = ("_rows", "_etas", "_states")
 
     def __init__(self, etas, states):
-        etas = np.asarray(etas, dtype=float)
-        states = np.asarray(states, dtype=float)
-        if etas.ndim != 1 or states.ndim != 2 or states.shape[0] != etas.size:
-            raise ValueError("inconsistent trajectory arrays")
-        if etas.size < 2:
+        try:
+            etas, states = _float_tuple(etas), [_float_tuple(state) for state in states]
+            if len(states) != len(etas) or len(set(map(len, states))) > 1:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError("inconsistent trajectory arrays") from None
+        self._set_rows([(eta, *state) for eta, state in zip(etas, states)])
+
+    @classmethod
+    def _from_rows(cls, rows):
+        """A trajectory of ``(eta, *state)`` float tuples of one length, made by this package."""
+        traj = cls.__new__(cls)
+        traj._set_rows(rows)
+        return traj
+
+    def _set_rows(self, rows):
+        if len(rows) < 2:
             raise ValueError("a trajectory needs at least two samples")
-        if not np.all(np.diff(etas) > 0):
+        etas = [row[0] for row in rows]
+        if not all(map(operator.lt, etas, etas[1:])):
             raise ValueError("trajectory etas must be strictly increasing")
-        self.etas = etas
-        self.states = states
+        self._rows = tuple(rows)
+        self._etas = self._states = None
+
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        """Every sample as an ``(eta, *state)`` tuple of floats (``np.float64``
+        states where the rhs returns ndarrays)."""
+        return self._rows
+
+    @property
+    def etas(self):
+        if self._etas is None:
+            self._build_arrays()
+        return self._etas
+
+    @property
+    def states(self):
+        if self._states is None:
+            self._build_arrays()
+        return self._states
+
+    def _build_arrays(self):
+        import numpy as np
+
+        self._etas = np.array([row[0] for row in self._rows])
+        self._states = np.array([row[1:] for row in self._rows])
+        self._etas.flags.writeable = self._states.flags.writeable = False
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
+        return len(self._rows[0]) - 1
 
     @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
+    def final_state(self) -> tuple[float, ...]:
+        return self._rows[-1][1:]
 
     def __len__(self) -> int:
-        return self.etas.size
+        return len(self._rows)
 
 
 def _rk4(rhs, eta, y, k1, h):
@@ -223,14 +288,19 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
     abs_tol, rel_tol = control.abs_tol, control.rel_tol
     min_step, max_steps, stop = control.min_step, control.max_steps, control.stop
     max_step = (end - start) / 4.0 if control.max_step is None else control.max_step
-    y = spec.initial_state.tolist()
+    y = list(spec.initial_state)
     eta = start
-    etas, states = [eta], [tuple(y)]
-    # A rhs may return an ndarray; its numpy scalars must overflow silently.
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+    rows = [(eta, *y)]
+    # A rhs may return an ndarray, whose numpy scalars must overflow silently.
+    # It can only do so once numpy is loaded; without numpy the check is len().
+    np = sys.modules.get("numpy")
+    errstate = (contextlib.nullcontext() if np is None
+                else np.errstate(over="ignore", invalid="ignore", under="ignore"))
+    with errstate:
         k1 = rhs(eta, y)
-        if np.shape(k1) != (len(y),):
-            raise ValueError(f"rhs returned shape {np.shape(k1)}, system dimension is {len(y)}")
+        shape = (len(k1),) if np is None else np.shape(k1)
+        if shape != (len(y),):
+            raise ValueError(f"rhs returned shape {shape}, system dimension is {len(y)}")
         if not _finite(k1):
             raise _blow_up(eta)
         h = min(control.initial_step, end - start, max_step)
@@ -258,8 +328,7 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
             if ratio <= 1.0:
                 y = [two + (two - full) / 15.0 for two, full in zip(y_two, y_full)]
                 eta = end if last else eta + h
-                etas.append(eta)
-                states.append(tuple(y))
+                rows.append((eta, *y))
                 k1 = rhs(eta, y)
                 if not (_finite(y) and _finite(k1)):
                     raise _blow_up(eta)
@@ -276,5 +345,5 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
                     raise StepUnderflowError(
                         f"required step fell below min_step near eta = {eta:.6g}", eta
                     )
-        return Trajectory(etas, states)
+        return Trajectory._from_rows(rows)
 

@@ -11,8 +11,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ode import IntegrationError, StepControl
 from .solver import ItmConfig, evaluate_gamma_at
 from .transform import DegenerateFarFieldError
@@ -56,10 +54,23 @@ class ScanGrid:
         if self.spacing not in ("linear", "logarithmic"):
             raise ValueError(f"spacing must be 'linear' or 'logarithmic', got {self.spacing!r}")
 
-    def points(self) -> np.ndarray:
-        if self.spacing == "linear":
-            return np.linspace(self.h_min, self.h_max, self.count)
-        return np.geomspace(self.h_min, self.h_max, self.count)
+    def points(self) -> list[float]:
+        h_min, h_max = float(self.h_min), float(self.h_max)
+        if self.spacing == "logarithmic":
+            # numpy's log10 and power may differ from libm's in the last bit.
+            import numpy as np
+
+            return np.geomspace(h_min, h_max, self.count).tolist()
+        # np.linspace's arithmetic, bit for bit: h_min + i * step with the last
+        # point set to h_max, and (i / div) * delta when the step underflows.
+        div = self.count - 1
+        delta = h_max - h_min
+        step = delta / div
+        if step == 0.0:
+            head = [h_min + i / div * delta for i in range(div)]
+        else:
+            head = [h_min + i * step for i in range(div)]
+        return head + [h_max]
 
 
 @dataclass(frozen=True)
@@ -124,8 +135,7 @@ def scan(grid: ScanGrid, sign: int, eta_inf_star: float = 10.0,
                        step_control=StepControl() if step_control is None else step_control)
     samples = []
     signed = []  # (h*, Gamma) of every probe with a Gamma value or a certified +inf
-    for h_star in grid.points():
-        h = float(h_star)
+    for h in grid.points():
         try:
             evaluation = evaluate_gamma_at(h, config)
             samples.append(ScanSample(h, evaluation.gamma, evaluation.lam, False))

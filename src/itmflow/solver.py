@@ -11,8 +11,6 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .models import (AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, VALID_SIGNS,
                      augmented_ic, blasius_star_ic, sakiadis_star_ic)
 from .ode import IvpSpec, StepControl, Trajectory, integrate_adaptive
@@ -148,7 +146,7 @@ def _evaluate(h_star, sign, eta_inf_star, control, with_derivative):
     else:
         initial, system = sakiadis_star_ic(h_star, sign), SIMILARITY_SYSTEM
     if sign == -1:
-        root = float(initial[1])
+        root = initial[1]
 
         def certify(eta, y):
             if y[1] + root <= 0.0:
@@ -158,9 +156,9 @@ def _evaluate(h_star, sign, eta_inf_star, control, with_derivative):
 
         control = replace(control, stop=certify)
     traj = integrate_adaptive(IvpSpec(0.0, eta_inf_star, initial, system), control)
-    far = traj.states[-1]
-    sensitivity = float(far[4]) if with_derivative else None
-    return GammaEvaluation.from_far_field(h_star, float(far[1]), sensitivity), traj
+    far = traj.final_state
+    sensitivity = far[4] if with_derivative else None
+    return GammaEvaluation.from_far_field(h_star, far[1], sensitivity), traj
 
 
 def evaluate_gamma_at(h_star: float, config: ItmConfig | None = None) -> GammaEvaluation:
@@ -190,7 +188,8 @@ def _finalize(iterates, accepted, traj):
         final_h_star=accepted.h_star,
         final_lambda=accepted.lam,
         final_wall_shear=accepted.wall_shear,
-        rescaled_solution=rescale_trajectory(accepted.lam, Trajectory(traj.etas, traj.states[:, :3])),
+        rescaled_solution=rescale_trajectory(
+            accepted.lam, Trajectory._from_rows([row[:4] for row in traj.rows()])),
     )
 
 
@@ -314,11 +313,10 @@ def solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0, 10.0),
         state = pieces[-1].final_state
         start = boundary
 
-    etas = np.concatenate([pieces[0].etas] + [p.etas[1:] for p in pieces[1:]])
-    states = np.vstack([pieces[0].states] + [p.states[1:] for p in pieces[1:]])
-    star_traj = Trajectory(etas, states)
+    star_traj = Trajectory._from_rows(
+        pieces[0].rows() + tuple(row for p in pieces[1:] for row in p.rows()[1:]))
 
-    far_slopes = [float(p.states[-1, 1]) for p in pieces]
+    far_slopes = [p.final_state[1] for p in pieces]
     lambda_checks = [(boundary, topfer_reduce(far)[0])
                      for boundary, far in zip(checks, far_slopes)]
 

@@ -9,8 +9,6 @@ field, and the transformation function ``Gamma(h*) = h* / lam^4 - 1`` marks
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ode import IntegrationError, Trajectory
 
 __all__ = [
@@ -71,14 +69,16 @@ def rescale_trajectory(lam: float, star_traj: Trajectory) -> Trajectory:
     """Map a starred (f, f', f'') trajectory back through the group.
 
     Each sample ``(eta*, f*, f*', f*'')`` becomes
-    ``(lam eta*, f*/lam, f*'/lam^2, f*''/lam^3)``.
+    ``(lam eta*, f*/lam, f*'/lam^2, f*''/lam^3)``: one correctly rounded
+    product per entry, as the ndarray broadcast gives.
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"group parameter must be positive and finite, got {lam}")
     if star_traj.dim != 3:
         raise ValueError(f"rescaling expects a 3-component trajectory, got dim {star_traj.dim}")
-    state_scale = np.array([lam ** -1, lam ** -2, lam ** -3])
-    return Trajectory(lam * star_traj.etas, star_traj.states * state_scale)
+    s1, s2, s3 = lam ** -1, lam ** -2, lam ** -3
+    return Trajectory._from_rows([(lam * eta, f * s1, fp * s2, fpp * s3)
+                                  for eta, f, fp, fpp in star_traj.rows()])
 
 
 def topfer_reduce(far_slope: float) -> tuple[float, float]:

@@ -311,3 +311,37 @@ def test_default_output_matches_golden(capsys, stem, fmt):
 def test_verbose_stderr_line(capsys, argv, expected):
     _, _, err = run_cli(capsys, *argv, "--verbose")
     assert err == expected
+
+
+# A child process runs one command line, then reports on stderr whether numpy was loaded.
+_CHILD = """
+import sys
+from itmflow.cli import main
+status = main(sys.argv[1:])
+print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+sys.exit(status)
+"""
+
+
+# The command lines of perfbench's cli workload, with their golden file if one exists.
+@pytest.mark.parametrize("argv, golden", [
+    (("sakiadis",), "sakiadis.table"),
+    (("sakiadis", "--root-finder", "newton", "--format", "json"), "sakiadis-newton.json"),
+    (("blasius", "--format", "csv"), "blasius.csv"),
+    (("compare", "--format", "json"), "compare.json"),
+    (("scan", "--count", "10", "--format", "csv"), None),
+])
+def test_command_line_runs_without_numpy(capsys, fresh_python, argv, golden):
+    child = fresh_python(_CHILD, *argv)
+    assert (child.returncode, child.stderr) == (0, "numpy loaded: False\n")
+    # Without numpy the output is the same as in this process, which has numpy loaded.
+    assert child.stdout == run_cli(capsys, *argv)[1]
+    if golden is not None:
+        assert child.stdout.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+def test_logarithmic_scan_loads_numpy(capsys, fresh_python):
+    argv = ("scan", "--spacing", "logarithmic", "--count", "5", "--format", "csv")
+    child = fresh_python(_CHILD, *argv)
+    assert (child.returncode, child.stderr) == (0, "numpy loaded: True\n")
+    assert child.stdout == run_cli(capsys, *argv)[1]

@@ -6,9 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from itmflow import (BlowUpError, IntegrationError, IvpSpec, OdeSystem,
-                     StepControl, StepLimitError, StepUnderflowError,
-                     integrate_adaptive, sakiadis_star_ic)
+from itmflow import (BlowUpError, IntegrationError, IvpSpec, ItmConfig, OdeSystem,
+                     StepControl, StepLimitError, StepUnderflowError, Trajectory,
+                     integrate_adaptive, sakiadis_star_ic, solve_blasius_topfer,
+                     solve_sakiadis)
 from itmflow.models import SIMILARITY_SYSTEM
 
 
@@ -26,6 +27,16 @@ def _cosine(eta, y):
 
 def _square(eta, y):
     return [v * v for v in y]
+
+
+class _SizeOneRow:
+    """A one-entry row that float() converts, as numpy before 2.4 treats a size-1 array."""
+
+    def __len__(self):
+        return 1
+
+    def __float__(self):
+        return 1.0
 
 
 ZERO_1D = OdeSystem(_const_zero, 1)
@@ -262,6 +273,18 @@ class TestRhsContract:
         with pytest.raises(ValueError, match=re.escape(message)):
             integrate_adaptive(spec)
 
+    def test_wrong_length_list_is_rejected_without_numpy(self, fresh_python):
+        child = fresh_python(
+            "import sys\n"
+            "from itmflow import IvpSpec, OdeSystem, integrate_adaptive\n"
+            "system = OdeSystem(lambda eta, y: [1.0, 1.0], 3)\n"
+            "try:\n"
+            "    integrate_adaptive(IvpSpec(0.0, 1.0, [1.0, 1.0, 1.0], system))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+            "print('numpy' in sys.modules)\n")
+        assert child.stdout == "rhs returned shape (2,), system dimension is 3\nFalse\n"
+
     def test_ndarray_rhs_still_integrates(self):
         # numpy scalars in place of floats: the same arithmetic, bit for bit
         def as_ndarray(eta, y):
@@ -272,6 +295,49 @@ class TestRhsContract:
         arrays = integrate_adaptive(IvpSpec(0.0, 10.0, ic, OdeSystem(as_ndarray, 3)))
         assert np.array_equal(arrays.etas, lists.etas)
         assert np.array_equal(arrays.states, lists.states)
+
+
+class TestTrajectory:
+    @pytest.fixture(scope="class")
+    def trajectories(self):
+        """A probe, a converged secant and Newton solve and a Topfer solve."""
+        probe = integrate_adaptive(IvpSpec(0.0, 10.0, sakiadis_star_ic(2.5), SIMILARITY_SYSTEM))
+        return [probe,
+                solve_sakiadis().rescaled_solution,
+                solve_sakiadis(ItmConfig(root_finder="newton", h1=None)).rescaled_solution,
+                solve_blasius_topfer().rescaled_solution]
+
+    def test_rows_and_final_state_are_floats(self, trajectories):
+        for traj in trajectories:
+            rows = traj.rows()
+            assert len(rows) == len(traj) and {len(row) for row in rows} == {1 + traj.dim}
+            assert all(type(v) is float for row in rows for v in row)
+            assert traj.final_state == rows[-1][1:]
+
+    def test_arrays_are_the_rows_cached_read_only(self, trajectories):
+        for traj in trajectories:
+            etas, states = traj.etas, traj.states
+            assert traj.etas is etas and traj.states is states
+            assert etas.dtype == states.dtype == np.float64
+            assert etas.shape == (len(traj),) and states.shape == (len(traj), traj.dim)
+            assert etas.tolist() == [row[0] for row in traj.rows()]
+            assert states.tolist() == [list(row[1:]) for row in traj.rows()]
+            assert not (etas.flags.writeable or states.flags.writeable)
+
+    def test_constructor_coerces_arrays_to_float_rows(self):
+        traj = Trajectory(np.array([0, 1]), np.array([[1, 2], [3, 4]]))
+        assert traj.rows() == ((0.0, 1.0, 2.0), (1.0, 3.0, 4.0))
+        assert all(type(v) is float for row in traj.rows() for v in row)
+
+    def test_arrays_are_built_on_first_read(self, fresh_python):
+        child = fresh_python(
+            "import sys\n"
+            "from itmflow import IvpSpec, SIMILARITY_SYSTEM, integrate_adaptive\n"
+            "traj = integrate_adaptive(IvpSpec(0.0, 1.0, [0.0, 0.0, 1.0], SIMILARITY_SYSTEM))\n"
+            "print(len(traj.rows()), traj.final_state[2] < 1.0, 'numpy' in sys.modules)\n"
+            "print(traj.states.shape, 'numpy' in sys.modules)\n")
+        rows = child.stdout.split()[0]
+        assert child.stdout == f"{rows} True False\n({rows}, 3) True\n"
 
 
 class TestValidation:
@@ -291,6 +357,29 @@ class TestValidation:
             IvpSpec(0.0, 1.0, np.array([math.nan]), EXP_1D)
         with pytest.raises(ValueError):
             IvpSpec(0.0, math.inf, np.array([1.0]), EXP_1D)
+        # numpy < 2.4 lets float() flatten each size-1 row of np.ones((3, 1))
+        # with only a DeprecationWarning; _SizeOneRow stands in for such a row.
+        for state in (np.ones((3, 1)), [_SizeOneRow()] * 3, np.ones((1, 3)),
+                      [[0.0], [1.0], [2.0]], [0.0, "one", 2.0], [0.0, None, 2.0],
+                      np.float64(1.0)):
+            with pytest.raises(ValueError, match="initial state must be a flat sequence"):
+                IvpSpec(0.0, 1.0, state, SIMILARITY_SYSTEM)
+
+    def test_ivp_spec_coerces_to_floats(self):
+        spec = IvpSpec(0, 1, np.array([1, 2, 3]), SIMILARITY_SYSTEM)
+        assert spec.initial_state == (1.0, 2.0, 3.0)
+        assert all(type(v) is float for v in (spec.start, spec.end, *spec.initial_state))
+
+    @pytest.mark.parametrize("etas, states", [
+        (np.array([[0.0], [1.0]]), np.zeros((2, 3))),
+        (np.array([0.0, 1.0]), np.zeros(2)),
+        ([0.0, 1.0], [0.0, 0.0]),
+        ([0.0, 1.0], [(0.0, 0.0), (0.0,)]),
+        ([0.0, 1.0, 2.0], np.zeros((2, 3))),
+    ], ids=["2-D etas", "1-D states", "flat state list", "ragged", "count"])
+    def test_trajectory_checks(self, etas, states):
+        with pytest.raises(ValueError, match="inconsistent trajectory arrays"):
+            Trajectory(etas, states)
 
     @pytest.mark.parametrize("kwargs", [
         {"abs_tol": 0.0},

@@ -34,7 +34,7 @@ def reference_adaptive(spec, control=None):
     abs_tol, rel_tol = control.abs_tol, control.rel_tol
     min_step, max_steps = control.min_step, control.max_steps
     max_step = (end - start) / 4.0 if control.max_step is None else control.max_step
-    y = spec.initial_state.copy()
+    y = np.array(spec.initial_state)
     eta = start
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         k1 = rhs(eta, y)

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -30,10 +31,26 @@ class TestGrid:
         assert np.allclose(pts, [1.0, 1.5, 2.0, 2.5, 3.0])
 
     def test_log_points_increasing_positive(self):
-        pts = ScanGrid(0.5, 8.0, 7, spacing="logarithmic").points()
+        pts = np.array(ScanGrid(0.5, 8.0, 7, spacing="logarithmic").points())
         assert np.all(pts > 0)
         assert np.all(np.diff(pts) > 0)
         assert pts[0] == pytest.approx(0.5) and pts[-1] == pytest.approx(8.0)
+
+    def test_linear_points_are_np_linspace_bit_for_bit(self):
+        rng = random.Random(5)
+        cases = [(5e-324, 2e-323, 8),  # subnormal span: numpy's step == 0 branch
+                 (1, 3, 5), (0.5, 20.0, 40), (1e-300, 1.7e308, 1000)]
+        assert (2e-323 - 5e-324) / 7 == 0.0
+        for _ in range(3000):
+            h_min = rng.uniform(0.5, 1.0) * 10.0 ** rng.randint(-12, 12)
+            h_max = h_min + rng.uniform(0.0, 1.0) * 10.0 ** rng.randint(-16, 14)
+            if h_max > h_min:
+                cases.append((h_min, h_max, rng.randint(2, 300)))
+        assert len(cases) > 2000
+        for h_min, h_max, count in cases:
+            points = ScanGrid(h_min, h_max, count).points()
+            assert points == np.linspace(h_min, h_max, count).tolist(), (h_min, h_max, count)
+            assert all(type(h) is float for h in points)
 
     @pytest.mark.parametrize("kwargs", [
         {"h_min": 0.0, "h_max": 1.0, "count": 5},
