@@ -3,17 +3,22 @@
 Provides one adaptive step-doubling march (one full step checked against two
 half steps, Richardson-extrapolated acceptance).
 
-``rhs(eta, y)`` receives a fresh list of ``dim`` Python floats, must return a
-sequence of ``dim`` floats and must not modify its argument; a rhs written with
-numpy expressions (``y ** 2``) must call ``np.asarray(y)`` itself.  The march
-stays on Python floats, which on a few elements cost far less than numpy, and
-this module does not import numpy: a :class:`Trajectory` builds its ndarrays
-only when a caller reads them.
+``rhs(eta, y)`` receives a fresh list of ``dim`` Python floats, must return
+exactly ``dim`` floats on every call (a sequence or a 1-D ndarray) and must
+not modify its argument; a rhs written with numpy expressions (``y ** 2``)
+must call ``np.asarray(y)`` itself.  The march stays on Python floats, which
+on a few elements cost far less than numpy: each step attempt is one
+straight-line function, generated and compiled once per system dimension,
+with no loop over the components.  This module does not import numpy: a
+:class:`Trajectory` builds its ndarrays only when a caller reads them.
 """
 
 import contextlib
+import functools
+import linecache
 import math
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -24,8 +29,9 @@ __all__ = [
     "integrate_adaptive",
 ]
 
-# The one integration kernel: interpreted Python stepping over float lists.
-# Reported in run metadata (``--verbose``); not a setting.
+# The one integration kernel: interpreted Python stepping over floats, one
+# unrolled attempt function per system dimension.  Reported in run metadata
+# (``--verbose``); not a setting.
 BACKEND = "numpy"
 
 # Damping of the adaptive march's (tol/err)^(1/5) step-size update.
@@ -56,8 +62,8 @@ class StepLimitError(IntegrationError):
 class OdeSystem:
     """First-order system ``dy/deta = rhs(eta, y)`` of fixed dimension.
 
-    ``rhs`` receives a fresh list of ``dim`` Python floats, must return a
-    sequence of ``dim`` floats and must not modify its argument.
+    ``rhs`` receives a fresh list of ``dim`` Python floats, must return
+    exactly ``dim`` floats on every call and must not modify its argument.
     """
 
     rhs: Callable[[float, list], Sequence[float]]
@@ -242,19 +248,101 @@ class Trajectory:
         return len(self._rows)
 
 
-def _rk4(rhs, eta, y, k1, h):
-    """One classical four-stage RK4 update over ``[eta, eta + h]``, given ``k1 = rhs(eta, y)``.
+# One step-doubling attempt over [eta, eta + h] from state y with slope
+# k = rhs(eta, y): a full RK4 step and two half steps, unrolled for one system
+# dimension.  Each `...` span is repeated for components 0 .. dim-1 with @ as
+# the index and joined by ", ", so a dim-3 system reads `y0, y1, y2, = y`.
+# Every float operation keeps the order and grouping of the ndarray form
+# y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4).  The attempt returns the
+# error ratio (the largest component of |two - full| / (abs_tol + rel_tol*|y|))
+# and the state to go on from: when the ratio is at most 1, the Richardson
+# extrapolation two + (two - full) / 15 as a fresh list, else y itself.
+_ATTEMPT = """\
+def attempt(rhs, eta, h, y, k, abs_tol, rel_tol):
+    `y@`, = y
+    try:
+        `k@`, = k
+        # the full step
+        hh = 0.5 * h
+        mid = eta + hh
+        `b@`, = rhs(mid, [`y@ + hh * k@`])
+        `c@`, = rhs(mid, [`y@ + hh * b@`])
+        `d@`, = rhs(eta + h, [`y@ + h * c@`])
+        s = h / 6.0
+        `f@`, = `y@ + s * (k@ + 2.0 * b@ + 2.0 * c@ + d@)`,
+        # the first half step
+        q = 0.5 * hh
+        m = eta + q
+        `b@`, = rhs(m, [`y@ + q * k@`])
+        `c@`, = rhs(m, [`y@ + q * b@`])
+        `d@`, = rhs(mid, [`y@ + hh * c@`])
+        s = hh / 6.0
+        `u@`, = `y@ + s * (k@ + 2.0 * b@ + 2.0 * c@ + d@)`,
+        # the second half step
+        `a@`, = rhs(mid, [`u@`])
+        m = mid + q
+        `b@`, = rhs(m, [`u@ + q * a@`])
+        `c@`, = rhs(m, [`u@ + q * b@`])
+        `d@`, = rhs(mid + hh, [`u@ + hh * c@`])
+        `t@`, = `u@ + s * (a@ + 2.0 * b@ + 2.0 * c@ + d@)`,
+    except ValueError as exc:
+        # A result of the wrong length fails to unpack in this frame; a
+        # ValueError raised inside rhs has a deeper traceback and passes on.
+        if exc.__traceback__.tb_next is not None:
+            raise
+        raise ValueError(f"rhs returned a result of another length near eta = {eta:.6g}, "
+                         f"system dimension is {len(y)}") from exc
+    errs = (`abs(t@ - f@) / (abs_tol + rel_tol * abs(y@))`,)
+    # A finite sum means finite states and no NaN ratio: y is finite and each
+    # denominator is positive, so a non-finite t or f gives an inf or NaN term.
+    ratio = max(errs) if sum(errs) < _INF else _nonfinite_ratio(eta, errs, (`f@`,), (`t@`,))
+    if ratio <= 1.0:
+        return ratio, [`t@ + (t@ - f@) / 15.0`]
+    return ratio, y
+"""
 
-    States and slopes are float sequences; every operation keeps the order of
-    the ndarray form ``y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``.
+
+@functools.cache
+def _attempt(dim: int):
+    """The step-doubling attempt for a ``dim``-equation system, compiled from ``_ATTEMPT``.
+
+    Its source is registered with :mod:`linecache` under a pseudo-filename, so
+    tracebacks and profiles show the unrolled lines.
     """
-    hh = 0.5 * h
-    mid = eta + hh
-    k2 = rhs(mid, [a + hh * b for a, b in zip(y, k1)])
-    k3 = rhs(mid, [a + hh * b for a, b in zip(y, k2)])
-    k4 = rhs(eta + h, [a + h * b for a, b in zip(y, k3)])
-    h6 = h / 6.0
-    return [a + h6 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+    source = re.sub(r"`([^`]*)`",
+                    lambda span: ", ".join(span[1].replace("@", str(i)) for i in range(dim)),
+                    _ATTEMPT)
+    filename = f"<itmflow.ode attempt dim={dim}>"
+    namespace = {"_INF": math.inf, "_nonfinite_ratio": _nonfinite_ratio}
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return namespace["attempt"]
+
+
+def _nonfinite_ratio(eta, errs, y_full, y_two):
+    """The error ratio when some component's is not finite.
+
+    Raises :class:`BlowUpError` when a state component is not finite;
+    otherwise returns, as ``np.max``, the first NaN component (inf/inf under
+    an extreme ``rel_tol``) if there is one, which is truthy, else the largest.
+    """
+    if not (_finite(y_full) and _finite(y_two)):
+        raise _blow_up(eta)
+    return next(filter(math.isnan, errs), None) or max(errs)
+
+
+def _shape(values) -> tuple:
+    """``np.shape(values)`` of a rhs result, without numpy.
+
+    ``()`` for a number, ``(n,)`` for ``n`` entries without a length, and
+    ``(n, m)`` when the first entry that has a length has ``m``.
+    """
+    try:
+        n = len(values)
+    except TypeError:
+        return ()
+    row = next((v for v in values if hasattr(v, "__len__")), None)
+    return (n,) if row is None else (n, len(row))
 
 
 def _finite(v) -> bool:
@@ -280,10 +368,12 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
     Returns the accepted samples, both endpoints included (the last abscissa
     is exactly ``spec.end``).  Raises :class:`BlowUpError`,
     :class:`StepUnderflowError` or :class:`StepLimitError`, a plain
-    :class:`IntegrationError` when the error estimate is not a number, or
-    whatever ``control.stop`` raises.
+    :class:`IntegrationError` when the error estimate is not a number,
+    ``ValueError`` when a rhs result does not hold ``dim`` values, or
+    whatever ``control.stop`` or the rhs raises.
     """
     control = StepControl() if control is None else control
+    attempt = _attempt(spec.system.dim)
     rhs, start, end = spec.system.rhs, spec.start, spec.end
     abs_tol, rel_tol = control.abs_tol, control.rel_tol
     min_step, max_steps, stop = control.min_step, control.max_steps, control.stop
@@ -292,13 +382,13 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
     eta = start
     rows = [(eta, *y)]
     # A rhs may return an ndarray, whose numpy scalars must overflow silently.
-    # It can only do so once numpy is loaded; without numpy the check is len().
+    # It can only do so once numpy is loaded; without numpy _shape stands in for np.shape.
     np = sys.modules.get("numpy")
     errstate = (contextlib.nullcontext() if np is None
                 else np.errstate(over="ignore", invalid="ignore", under="ignore"))
     with errstate:
         k1 = rhs(eta, y)
-        shape = (len(k1),) if np is None else np.shape(k1)
+        shape = _shape(k1) if np is None else np.shape(k1)
         if shape != (len(y),):
             raise ValueError(f"rhs returned shape {shape}, system dimension is {len(y)}")
         if not _finite(k1):
@@ -313,20 +403,8 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
             attempts += 1
             if attempts > max_steps:
                 raise _step_limit(eta)
-            hh = 0.5 * h
-            y_full = _rk4(rhs, eta, y, k1, h)
-            y_mid = _rk4(rhs, eta, y, k1, hh)
-            mid = eta + hh
-            y_two = _rk4(rhs, mid, y_mid, rhs(mid, y_mid), hh)
-            if not (_finite(y_full) and _finite(y_two)):
-                raise _blow_up(eta)
-            errs = [abs(two - full) / (abs_tol + rel_tol * abs(v))
-                    for two, full, v in zip(y_two, y_full, y)]
-            # As np.max: the first NaN component (inf/inf under an extreme
-            # rel_tol) if there is one, which is truthy, else the largest.
-            ratio = next(filter(math.isnan, errs), None) or max(errs)
+            ratio, y = attempt(rhs, eta, h, y, k1, abs_tol, rel_tol)
             if ratio <= 1.0:
-                y = [two + (two - full) / 15.0 for two, full in zip(y_two, y_full)]
                 eta = end if last else eta + h
                 rows.append((eta, *y))
                 k1 = rhs(eta, y)

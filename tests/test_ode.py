@@ -2,6 +2,7 @@
 
 import math
 import re
+import traceback
 
 import numpy as np
 import pytest
@@ -284,6 +285,59 @@ class TestRhsContract:
             "    print(exc)\n"
             "print('numpy' in sys.modules)\n")
         assert child.stdout == "rhs returned shape (2,), system dimension is 3\nFalse\n"
+
+    def test_scalar_and_nested_rhs_are_rejected_as_with_numpy(self, fresh_python):
+        # The same two rhs results, before and after numpy is loaded.
+        child = fresh_python(
+            "import sys\n"
+            "from itmflow import IvpSpec, OdeSystem, integrate_adaptive\n"
+            "def messages():\n"
+            "    for value in (1.0, [[1.0]]):\n"
+            "        try:\n"
+            "            integrate_adaptive(IvpSpec(0.0, 1.0, [1.0], OdeSystem(lambda eta, y: value, 1)))\n"
+            "        except ValueError as exc:\n"
+            "            print(exc)\n"
+            "messages()\n"
+            "print('numpy' in sys.modules)\n"
+            "import numpy\n"
+            "messages()\n")
+        lines = ["rhs returned shape (), system dimension is 1",
+                 "rhs returned shape (1, 1), system dimension is 1"]
+        assert child.stdout.splitlines() == [*lines, "False", *lines]
+
+    def test_rhs_that_changes_length_mid_march_is_rejected(self):
+        def shrinking(eta, y):
+            return [1.0, 0.0] if eta <= 0.5 else [1.0]
+
+        traj = None
+        with pytest.raises(ValueError, match=r"system dimension is 2$"):
+            traj = integrate_adaptive(IvpSpec(0.0, 1.0, [0.0, 0.0], OdeSystem(shrinking, 2)))
+        assert traj is None
+
+    def test_rhs_value_error_propagates_unchanged(self):
+        def failing(eta, y):
+            if eta > 0.5:
+                raise ValueError("rhs failed")
+            return [1.0]
+
+        with pytest.raises(ValueError, match="^rhs failed$"):
+            integrate_adaptive(IvpSpec(0.0, 1.0, [0.0], OdeSystem(failing, 1)))
+
+    def test_traceback_shows_the_unrolled_stage(self):
+        calls = []
+
+        def failing(eta, y):
+            calls.append(eta)
+            if len(calls) == 3:  # the full step's second stage
+                raise RuntimeError("rhs failed")
+            return [y[1], -y[0], 0.0]
+
+        with pytest.raises(RuntimeError) as err:
+            integrate_adaptive(IvpSpec(0.0, 1.0, [1.0, 0.0, 0.0], OdeSystem(failing, 3)))
+        frames = [frame for frame in traceback.extract_tb(err.value.__traceback__)
+                  if frame.filename == "<itmflow.ode attempt dim=3>"]
+        assert len(frames) == 1
+        assert frames[0].line.startswith("c0, c1, c2, = rhs(mid, [y0 + hh * b0,")
 
     def test_ndarray_rhs_still_integrates(self):
         # numpy scalars in place of floats: the same arithmetic, bit for bit

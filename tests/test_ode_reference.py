@@ -3,9 +3,10 @@
 ``_rk4`` and ``reference_adaptive`` below are the ndarray versions of the
 adaptive march, kept verbatim as the reference; an adapter hands them the
 library's float-list rhs as an ndarray one.  The library kernel carries
-states as Python floats but keeps every float operation in the same order,
-so trajectories, errors and the whole sequence of rhs calls must match bit
-for bit; regrouping any of the arithmetic fails here.
+states as Python floats through an attempt unrolled per system dimension
+(the cases cover dimensions 1, 2, 3 and 6) but keeps every float operation
+in the same order, so trajectories, errors and the whole sequence of rhs
+calls must match bit for bit; regrouping any of the arithmetic fails here.
 """
 
 import struct
@@ -82,6 +83,18 @@ def _square(eta, y):
     return [v * v for v in y]
 
 
+def _logistic(eta, y):
+    return [v * (1.0 - v) for v in y]
+
+
+def _harmonic(eta, y):
+    return [y[1], -y[0]]
+
+
+def _similarity_ndarray(eta, y):
+    return np.array(SIMILARITY_SYSTEM.rhs(eta, y))
+
+
 def _ndarray_rhs(rhs):
     """``rhs`` with the ndarray argument and result the reference kernel expects."""
     return lambda eta, y: np.array(rhs(eta, y.tolist()))
@@ -101,6 +114,10 @@ ADAPTIVE_CASES = {
     "square-blow-up": (IvpSpec(0.0, 3.0, np.array([1e200]), OdeSystem(_square, 1)), None),
     "square-underflow": (IvpSpec(0.0, 3.0, np.array([1.0]), OdeSystem(_square, 1)), None),
     "step-limit": (_ivp(2.5, -1), StepControl(max_steps=5)),
+    "logistic": (IvpSpec(0.0, 10.0, [0.1], OdeSystem(_logistic, 1)), TIGHT),
+    "harmonic": (IvpSpec(0.0, 10.0, [1.0, 0.0], OdeSystem(_harmonic, 2)), None),
+    "sakiadis-ndarray": (IvpSpec(0.0, 10.0, sakiadis_star_ic(2.5),
+                                 OdeSystem(_similarity_ndarray, 3)), None),
 }
 
 
