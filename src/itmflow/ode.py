@@ -287,8 +287,8 @@ def attempt(rhs, eta, h, y, k, abs_tol, rel_tol):
         `t@`, = `u@ + s * (a@ + 2.0 * b@ + 2.0 * c@ + d@)`,
     except ValueError as exc:
         # A result of the wrong length fails to unpack in this frame; a
-        # ValueError raised inside rhs has a deeper traceback and passes on.
-        if exc.__traceback__.tb_next is not None:
+        # ValueError raised by rhs itself, compiled or not, passes on.
+        if not _unpack_failed(exc):
             raise
         raise ValueError(f"rhs returned a result of another length near eta = {eta:.6g}, "
                          f"system dimension is {len(y)}") from exc
@@ -313,7 +313,8 @@ def _attempt(dim: int):
                     lambda span: ", ".join(span[1].replace("@", str(i)) for i in range(dim)),
                     _ATTEMPT)
     filename = f"<itmflow.ode attempt dim={dim}>"
-    namespace = {"_INF": math.inf, "_nonfinite_ratio": _nonfinite_ratio}
+    namespace = {"_INF": math.inf, "_nonfinite_ratio": _nonfinite_ratio,
+                 "_unpack_failed": _unpack_failed}
     exec(compile(source, filename, "exec"), namespace)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     return namespace["attempt"]
@@ -331,8 +332,21 @@ def _nonfinite_ratio(eta, errs, y_full, y_two):
     return next(filter(math.isnan, errs), None) or max(errs)
 
 
+def _unpack_failed(exc: ValueError) -> bool:
+    """Whether ``exc`` was raised by a tuple unpacking in the frame that caught it.
+
+    The caught traceback's last instruction tells an unpacking apart from a
+    call, also of a rhs that adds no Python frame (a builtin, a ufunc,
+    compiled code).
+    """
+    from opcode import opmap
+
+    tb = exc.__traceback__
+    return tb.tb_frame.f_code.co_code[tb.tb_lasti] == opmap["UNPACK_SEQUENCE"]
+
+
 def _shape(values) -> tuple:
-    """``np.shape(values)`` of a rhs result, without numpy.
+    """The shape of a rhs result, as ``np.shape`` gives it up to two dimensions.
 
     ``()`` for a number, ``(n,)`` for ``n`` entries without a length, and
     ``(n, m)`` when the first entry that has a length has ``m``.
@@ -382,13 +396,13 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
     eta = start
     rows = [(eta, *y)]
     # A rhs may return an ndarray, whose numpy scalars must overflow silently.
-    # It can only do so once numpy is loaded; without numpy _shape stands in for np.shape.
+    # It can only do so once numpy is loaded.
     np = sys.modules.get("numpy")
     errstate = (contextlib.nullcontext() if np is None
                 else np.errstate(over="ignore", invalid="ignore", under="ignore"))
     with errstate:
         k1 = rhs(eta, y)
-        shape = _shape(k1) if np is None else np.shape(k1)
+        shape = _shape(k1)
         if shape != (len(y),):
             raise ValueError(f"rhs returned shape {shape}, system dimension is {len(y)}")
         if not _finite(k1):

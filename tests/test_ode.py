@@ -1,5 +1,6 @@
 """Integrator tests: the adaptive RK4 march, free and pinned to a uniform step."""
 
+import functools
 import math
 import re
 import traceback
@@ -11,6 +12,7 @@ from itmflow import (BlowUpError, IntegrationError, IvpSpec, ItmConfig, OdeSyste
                      StepControl, StepLimitError, StepUnderflowError, Trajectory,
                      integrate_adaptive, sakiadis_star_ic, solve_blasius_topfer,
                      solve_sakiadis)
+from itmflow import ode
 from itmflow.models import SIMILARITY_SYSTEM
 
 
@@ -322,6 +324,12 @@ class TestRhsContract:
 
         with pytest.raises(ValueError, match="^rhs failed$"):
             integrate_adaptive(IvpSpec(0.0, 1.0, [0.0], OdeSystem(failing, 1)))
+
+    def test_value_error_of_a_rhs_without_python_frame_propagates_unchanged(self):
+        # A ufunc adds no Python frame; its own ValueError is not a length fault.
+        rhs = functools.partial(np.add, out=np.empty(2))
+        with pytest.raises(ValueError, match="^operands could not be broadcast"):
+            ode._attempt(3)(rhs, 0.0, 0.1, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 1e-6, 1e-6)
 
     def test_traceback_shows_the_unrolled_stage(self):
         calls = []
