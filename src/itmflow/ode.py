@@ -7,10 +7,10 @@ half steps, Richardson-extrapolated acceptance).
 exactly ``dim`` floats on every call (a sequence or a 1-D ndarray) and must
 not modify its argument; a rhs written with numpy expressions (``y ** 2``)
 must call ``np.asarray(y)`` itself.  The march stays on Python floats, which
-on a few elements cost far less than numpy: each step attempt is one
-straight-line function, generated and compiled once per system dimension,
-with no loop over the components.  This module does not import numpy: a
-:class:`Trajectory` builds its ndarrays only when a caller reads them.
+on a few elements cost far less than numpy: the whole march, its step
+attempts unrolled, is one function generated and compiled once per system
+dimension, with no loop over the components.  This module does not import
+numpy: a :class:`Trajectory` builds its ndarrays only when a caller reads them.
 """
 
 import contextlib
@@ -30,12 +30,13 @@ __all__ = [
 ]
 
 # The one integration kernel: interpreted Python stepping over floats, one
-# unrolled attempt function per system dimension.  Reported in run metadata
+# unrolled march function per system dimension.  Reported in run metadata
 # (``--verbose``); not a setting.
 BACKEND = "numpy"
 
 # Damping of the adaptive march's (tol/err)^(1/5) step-size update.
 _SAFETY = 0.9
+_INF = math.inf
 
 
 class IntegrationError(RuntimeError):
@@ -248,43 +249,83 @@ class Trajectory:
         return len(self._rows)
 
 
-# One step-doubling attempt over [eta, eta + h] from state y with slope
-# k = rhs(eta, y): a full RK4 step and two half steps, unrolled for one system
-# dimension.  Each `...` span is repeated for components 0 .. dim-1 with @ as
-# the index and joined by ", ", so a dim-3 system reads `y0, y1, y2, = y`.
+# The adaptive step-doubling march for one system dimension: from the state y
+# with slope k = rhs(eta, y), each attempt over [eta, eta + h] takes a full RK4
+# step and two half steps, unrolled.  Each `...` span is repeated for components
+# 0 .. dim-1 with @ as the index and joined by ", ", or by the text before a
+# leading |, so a dim-3 system reads `y0, y1, y2, = y` and `e0 + e1 + e2`.
 # Every float operation keeps the order and grouping of the ndarray form
-# y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4).  The attempt returns the
-# error ratio (the largest component of |two - full| / (abs_tol + rel_tol*|y|))
-# and the state to go on from: when the ratio is at most 1, the Richardson
-# extrapolation two + (two - full) / 15 as a fresh list, else y itself.
-_ATTEMPT = """\
-def attempt(rhs, eta, h, y, k, abs_tol, rel_tol):
+# y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), of max and min in the step
+# update, and of sum in the finiteness gate.  The error ratio is the largest
+# component of |two - full| / (abs_tol + rel_tol*|y|); a ratio of at most 1
+# accepts the Richardson extrapolation two + (two - full) / 15.  The state
+# stays in component locals; each rhs call gets a fresh list.
+_MARCH = """\
+def march(rhs, eta, end, h, y, k, abs_tol, rel_tol, min_step, max_step, max_steps, stop):
     `y@`, = y
+    `k@`, = k
+    rows = [(eta, `y@`)]
+    attempts = 0
     try:
-        `k@`, = k
-        # the full step
-        hh = 0.5 * h
-        mid = eta + hh
-        `b@`, = rhs(mid, [`y@ + hh * k@`])
-        `c@`, = rhs(mid, [`y@ + hh * b@`])
-        `d@`, = rhs(eta + h, [`y@ + h * c@`])
-        s = h / 6.0
-        `f@`, = `y@ + s * (k@ + 2.0 * b@ + 2.0 * c@ + d@)`,
-        # the first half step
-        q = 0.5 * hh
-        m = eta + q
-        `b@`, = rhs(m, [`y@ + q * k@`])
-        `c@`, = rhs(m, [`y@ + q * b@`])
-        `d@`, = rhs(mid, [`y@ + hh * c@`])
-        s = hh / 6.0
-        `u@`, = `y@ + s * (k@ + 2.0 * b@ + 2.0 * c@ + d@)`,
-        # the second half step
-        `a@`, = rhs(mid, [`u@`])
-        m = mid + q
-        `b@`, = rhs(m, [`u@ + q * a@`])
-        `c@`, = rhs(m, [`u@ + q * b@`])
-        `d@`, = rhs(mid + hh, [`u@ + hh * c@`])
-        `t@`, = `u@ + s * (a@ + 2.0 * b@ + 2.0 * c@ + d@)`,
+        while eta < end:
+            last = False
+            if eta + h >= end:
+                h = end - eta
+                last = True
+            attempts += 1
+            if attempts > max_steps:
+                raise _step_limit(eta)
+            # the full step
+            hh = 0.5 * h
+            mid = eta + hh
+            `b@`, = rhs(mid, [`y@ + hh * k@`])
+            `c@`, = rhs(mid, [`y@ + hh * b@`])
+            `d@`, = rhs(eta + h, [`y@ + h * c@`])
+            s = h / 6.0
+            `f@`, = `y@ + s * (k@ + 2.0 * b@ + 2.0 * c@ + d@)`,
+            # the first half step
+            q = 0.5 * hh
+            m = eta + q
+            `b@`, = rhs(m, [`y@ + q * k@`])
+            `c@`, = rhs(m, [`y@ + q * b@`])
+            `d@`, = rhs(mid, [`y@ + hh * c@`])
+            s = hh / 6.0
+            `u@`, = `y@ + s * (k@ + 2.0 * b@ + 2.0 * c@ + d@)`,
+            # the second half step
+            `a@`, = rhs(mid, [`u@`])
+            m = mid + q
+            `b@`, = rhs(m, [`u@ + q * a@`])
+            `c@`, = rhs(m, [`u@ + q * b@`])
+            `d@`, = rhs(mid + hh, [`u@ + hh * c@`])
+            `t@`, = `u@ + s * (a@ + 2.0 * b@ + 2.0 * c@ + d@)`,
+            `e@`, = `abs(t@ - f@) / (abs_tol + rel_tol * abs(y@))`,
+            # A finite sum means finite t and f (a non-finite one gives an inf or NaN
+            # term) and no NaN; the ratio is then the max, as no term is negative.
+            if ` + |e@` < _INF:
+                ratio = 0.0; `; |ratio = e@ if e@ > ratio else ratio`
+            else:
+                ratio = _nonfinite_ratio(eta, (`e@`,), (`f@`,), (`t@`,))
+            if ratio <= 1.0:
+                eta = end if last else eta + h
+                `y@`, = `t@ + (t@ - f@) / 15.0`,
+                y = [`y@`]
+                rows.append((eta, `y@`))
+                `k@`, = rhs(eta, y)
+                # x - x is 0.0 for a finite x and NaN otherwise; it cannot overflow.
+                if ` + |(y@ - y@) + (k@ - k@)` != 0.0:
+                    raise _blow_up(eta)
+                if stop is not None:
+                    stop(eta, y)
+                fac = 5.0 if ratio == 0.0 else _SAFETY * ratio ** -0.2
+                h *= 5.0 if fac > 5.0 else fac
+                h = max_step if h > max_step else h
+                h = min_step if h < min_step else h
+            else:
+                fac = _SAFETY * ratio ** -0.2
+                h *= 0.1 if fac < 0.1 else fac
+                if h < min_step:
+                    raise StepUnderflowError(
+                        f"required step fell below min_step near eta = {eta:.6g}", eta)
     except ValueError as exc:
         # A result of the wrong length fails to unpack in this frame; a
         # ValueError raised by rhs itself, compiled or not, passes on.
@@ -292,44 +333,47 @@ def attempt(rhs, eta, h, y, k, abs_tol, rel_tol):
             raise
         raise ValueError(f"rhs returned a result of another length near eta = {eta:.6g}, "
                          f"system dimension is {len(y)}") from exc
-    errs = (`abs(t@ - f@) / (abs_tol + rel_tol * abs(y@))`,)
-    # A finite sum means finite states and no NaN ratio: y is finite and each
-    # denominator is positive, so a non-finite t or f gives an inf or NaN term.
-    ratio = max(errs) if sum(errs) < _INF else _nonfinite_ratio(eta, errs, (`f@`,), (`t@`,))
-    if ratio <= 1.0:
-        return ratio, [`t@ + (t@ - f@) / 15.0`]
-    return ratio, y
+    return rows
 """
 
 
 @functools.cache
-def _attempt(dim: int):
-    """The step-doubling attempt for a ``dim``-equation system, compiled from ``_ATTEMPT``.
+def _march(dim: int):
+    """The adaptive march for a ``dim``-equation system, compiled from ``_MARCH``.
 
     Its source is registered with :mod:`linecache` under a pseudo-filename, so
     tracebacks and profiles show the unrolled lines.
     """
-    source = re.sub(r"`([^`]*)`",
-                    lambda span: ", ".join(span[1].replace("@", str(i)) for i in range(dim)),
-                    _ATTEMPT)
-    filename = f"<itmflow.ode attempt dim={dim}>"
-    namespace = {"_INF": math.inf, "_nonfinite_ratio": _nonfinite_ratio,
-                 "_unpack_failed": _unpack_failed}
-    exec(compile(source, filename, "exec"), namespace)
+    def repeat(span):
+        joiner, _, body = span[1].rpartition("|")
+        return (joiner or ", ").join(body.replace("@", str(i)) for i in range(dim))
+
+    source = re.sub(r"`([^`]*)`", repeat, _MARCH)
+    filename = f"<itmflow.ode march dim={dim}>"
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    return namespace["attempt"]
+    march, zeros = namespace["march"], (0.0,) * dim
+    # CPython 3.11 specializes a function's bytecode from its 8th call on, and
+    # a march is called once per IVP: warm it up on empty spans.
+    for _ in range(8):
+        march(None, 0.0, 0.0, 0.0, zeros, zeros, 0.0, 0.0, 0.0, 0.0, 0, None)
+    return march
 
 
 def _nonfinite_ratio(eta, errs, y_full, y_two):
-    """The error ratio when some component's is not finite.
+    """The error ratio when the sum of the components' is not finite.
 
-    Raises :class:`BlowUpError` when a state component is not finite;
-    otherwise returns, as ``np.max``, the first NaN component (inf/inf under
-    an extreme ``rel_tol``) if there is one, which is truthy, else the largest.
+    Raises :class:`BlowUpError` when a state component is not finite, and a
+    plain :class:`IntegrationError` when a component's ratio is NaN (inf/inf
+    under an extreme ``rel_tol``); otherwise returns the largest, as ``max``.
     """
     if not (_finite(y_full) and _finite(y_two)):
         raise _blow_up(eta)
-    return next(filter(math.isnan, errs), None) or max(errs)
+    if any(map(math.isnan, errs)):
+        raise IntegrationError("error estimate is not a number near eta = "
+                               f"{eta:.6g}: abs_tol + rel_tol*|y| overflowed", eta)
+    return max(errs)
 
 
 def _unpack_failed(exc: ValueError) -> bool:
@@ -387,55 +431,21 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
     whatever ``control.stop`` or the rhs raises.
     """
     control = StepControl() if control is None else control
-    attempt = _attempt(spec.system.dim)
-    rhs, start, end = spec.system.rhs, spec.start, spec.end
-    abs_tol, rel_tol = control.abs_tol, control.rel_tol
-    min_step, max_steps, stop = control.min_step, control.max_steps, control.stop
+    rhs, start, end, y = spec.system.rhs, spec.start, spec.end, spec.initial_state
     max_step = (end - start) / 4.0 if control.max_step is None else control.max_step
-    y = list(spec.initial_state)
-    eta = start
-    rows = [(eta, *y)]
     # A rhs may return an ndarray, whose numpy scalars must overflow silently.
     # It can only do so once numpy is loaded.
     np = sys.modules.get("numpy")
     errstate = (contextlib.nullcontext() if np is None
                 else np.errstate(over="ignore", invalid="ignore", under="ignore"))
     with errstate:
-        k1 = rhs(eta, y)
-        shape = _shape(k1)
+        k = rhs(start, list(y))
+        shape = _shape(k)
         if shape != (len(y),):
             raise ValueError(f"rhs returned shape {shape}, system dimension is {len(y)}")
-        if not _finite(k1):
-            raise _blow_up(eta)
-        h = min(control.initial_step, end - start, max_step)
-        attempts = 0
-        while eta < end:
-            last = False
-            if eta + h >= end:
-                h = end - eta
-                last = True
-            attempts += 1
-            if attempts > max_steps:
-                raise _step_limit(eta)
-            ratio, y = attempt(rhs, eta, h, y, k1, abs_tol, rel_tol)
-            if ratio <= 1.0:
-                eta = end if last else eta + h
-                rows.append((eta, *y))
-                k1 = rhs(eta, y)
-                if not (_finite(y) and _finite(k1)):
-                    raise _blow_up(eta)
-                if stop is not None:
-                    stop(eta, y)
-                fac = 5.0 if ratio == 0.0 else min(_SAFETY * ratio ** -0.2, 5.0)
-                h = max(min(h * fac, max_step), min_step)
-            else:
-                if math.isnan(ratio):
-                    raise IntegrationError("error estimate is not a number near eta = "
-                                           f"{eta:.6g}: abs_tol + rel_tol*|y| overflowed", eta)
-                h *= max(_SAFETY * ratio ** -0.2, 0.1)
-                if h < min_step:
-                    raise StepUnderflowError(
-                        f"required step fell below min_step near eta = {eta:.6g}", eta
-                    )
+        if not _finite(k):
+            raise _blow_up(start)
+        rows = _march(len(y))(rhs, start, end, min(control.initial_step, end - start, max_step),
+                              y, k, control.abs_tol, control.rel_tol, control.min_step,
+                              max_step, control.max_steps, control.stop)
         return Trajectory._from_rows(rows)
-

@@ -47,6 +47,22 @@ EXP_1D = OdeSystem(_identity, 1)
 HARMONIC = OdeSystem(_harmonic, 2)
 
 
+def _last_call_returns(value, initial_state, system):
+    """An IVP of ``system`` on [0, 1] whose rhs returns ``value`` on the last call of the march."""
+    calls = []
+
+    def rhs(eta, y):
+        calls.append(eta)
+        return value if len(calls) == last else system.rhs(eta, np.array(y))
+
+    last = 0
+    spec = IvpSpec(0.0, 1.0, initial_state, OdeSystem(rhs, system.dim))
+    integrate_adaptive(spec)  # a clean march, to count its calls
+    last = len(calls)
+    calls.clear()
+    return spec
+
+
 def _pinned(h):
     """Tolerances loose enough that every attempt at the uniform step h is accepted."""
     return StepControl(abs_tol=1.0, rel_tol=1.0, initial_step=h, min_step=h, max_step=h)
@@ -159,6 +175,19 @@ class TestIntegrateAdaptive:
         spec = IvpSpec(0.0, 3.0, np.array([1.0]), OdeSystem(bad, 1))
         with pytest.raises(BlowUpError):
             integrate_adaptive(spec)
+
+    def test_huge_finite_states_are_not_a_blow_up(self):
+        # Two components of 1e308 sum to inf; the finiteness check must not.
+        spec = IvpSpec(0.0, 1.0, [1e308, 1e308], OdeSystem(lambda eta, y: [0.0, 0.0], 2))
+        traj = integrate_adaptive(spec)
+        assert traj.etas[-1] == 1.0 and traj.final_state == (1e308, 1e308)
+
+    def test_nonfinite_last_slope_raises_blowup_at_end(self):
+        # The slope at the last accepted sample is never stepped from, but is checked.
+        spec = _last_call_returns([math.nan], [1.0], EXP_1D)
+        with pytest.raises(BlowUpError) as err:
+            integrate_adaptive(spec)
+        assert err.value.eta == spec.end
 
     def test_nan_error_ratio_is_reported(self):
         # The first attempt's full step samples +c at 0, 2.5 and 5, its half
@@ -316,6 +345,12 @@ class TestRhsContract:
             traj = integrate_adaptive(IvpSpec(0.0, 1.0, [0.0, 0.0], OdeSystem(shrinking, 2)))
         assert traj is None
 
+    def test_rhs_that_changes_length_at_the_last_sample_is_rejected(self):
+        spec = _last_call_returns([1.0, 0.0, 0.0], [1.0, 0.0], HARMONIC)
+        message = "rhs returned a result of another length near eta = 1, system dimension is 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            integrate_adaptive(spec)
+
     def test_rhs_value_error_propagates_unchanged(self):
         def failing(eta, y):
             if eta > 0.5:
@@ -329,7 +364,8 @@ class TestRhsContract:
         # A ufunc adds no Python frame; its own ValueError is not a length fault.
         rhs = functools.partial(np.add, out=np.empty(2))
         with pytest.raises(ValueError, match="^operands could not be broadcast"):
-            ode._attempt(3)(rhs, 0.0, 0.1, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 1e-6, 1e-6)
+            ode._march(3)(rhs, 0.0, 1.0, 0.1, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0),
+                          1e-6, 1e-6, 1e-12, 0.25, 10, None)
 
     def test_traceback_shows_the_unrolled_stage(self):
         calls = []
@@ -343,7 +379,7 @@ class TestRhsContract:
         with pytest.raises(RuntimeError) as err:
             integrate_adaptive(IvpSpec(0.0, 1.0, [1.0, 0.0, 0.0], OdeSystem(failing, 3)))
         frames = [frame for frame in traceback.extract_tb(err.value.__traceback__)
-                  if frame.filename == "<itmflow.ode attempt dim=3>"]
+                  if frame.filename == "<itmflow.ode march dim=3>"]
         assert len(frames) == 1
         assert frames[0].line.startswith("c0, c1, c2, = rhs(mid, [y0 + hh * b0,")
 

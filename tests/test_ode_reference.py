@@ -3,7 +3,7 @@
 ``_rk4`` and ``reference_adaptive`` below are the ndarray versions of the
 adaptive march, kept verbatim as the reference; an adapter hands them the
 library's float-list rhs as an ndarray one.  The library kernel carries
-states as Python floats through an attempt unrolled per system dimension
+states as Python floats through a march unrolled per system dimension
 (the cases cover dimensions 1, 2, 3 and 6) but keeps every float operation
 in the same order, so trajectories, errors and the whole sequence of rhs
 calls must match bit for bit; regrouping any of the arithmetic fails here.
