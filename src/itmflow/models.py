@@ -19,20 +19,13 @@ __all__ = [
 VALID_SIGNS = (1, -1)
 
 
-def _similarity_rhs(eta, y):
-    """(f, f', f'') -> (f', f'', -f f''/2)."""
-    f, fp, fpp = y
-    return [fp, fpp, -0.5 * f * fpp]
-
-
-def _augmented_rhs(eta, y):
-    """(u1..u6) -> (u2, u3, -u1 u3/2, u5, u6, -(u4 u3 + u1 u6)/2)."""
-    u1, u2, u3, u4, u5, u6 = y
-    return [u2, u3, -0.5 * u1 * u3, u5, u6, -0.5 * (u4 * u3 + u1 * u6)]
-
-
-SIMILARITY_SYSTEM = OdeSystem(rhs=_similarity_rhs, dim=3)
-AUGMENTED_SYSTEM = OdeSystem(rhs=_augmented_rhs, dim=6)
+# Each right-hand side is written once, as text: the march computes it inline
+# and the callable ``rhs`` compiles the same expressions.
+# (f, f', f'') -> (f', f'', -f f''/2)
+SIMILARITY_SYSTEM = OdeSystem._from_text("f, fp, fpp", "fp, fpp, -0.5 * f * fpp")
+# (u1..u6) -> (u2, u3, -u1 u3/2, u5, u6, -(u4 u3 + u1 u6)/2)
+AUGMENTED_SYSTEM = OdeSystem._from_text(
+    "u1, u2, u3, u4, u5, u6", "u2, u3, -0.5 * u1 * u3, u5, u6, -0.5 * (u4 * u3 + u1 * u6)")
 
 
 def blasius_star_ic() -> tuple[float, ...]:

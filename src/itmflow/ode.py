@@ -9,8 +9,12 @@ not modify its argument; a rhs written with numpy expressions (``y ** 2``)
 must call ``np.asarray(y)`` itself.  The march stays on Python floats, which
 on a few elements cost far less than numpy: the whole march, its step
 attempts unrolled, is one function generated and compiled once per system
-dimension, with no loop over the components.  This module does not import
-numpy: a :class:`Trajectory` builds its ndarrays only when a caller reads them.
+dimension, with no loop over the components.  A system written as text
+(``OdeSystem._from_text``, as the package's own models are) gets a march of
+its own that computes the rhs expressions in place of each call, with no
+call and no list; any other system's march calls its ``rhs``.  This module
+does not import numpy: a :class:`Trajectory` builds its ndarrays only when a
+caller reads them.
 """
 
 import contextlib
@@ -30,8 +34,8 @@ __all__ = [
 ]
 
 # The one integration kernel: interpreted Python stepping over floats, one
-# unrolled march function per system dimension.  Reported in run metadata
-# (``--verbose``); not a setting.
+# unrolled march function per system dimension and one per system written as
+# text.  Reported in run metadata (``--verbose``); not a setting.
 BACKEND = "numpy"
 
 # Damping of the adaptive march's (tol/err)^(1/5) step-size update.
@@ -77,6 +81,42 @@ class OdeSystem:
             raise ValueError(f"system dimension must be an integer, got {self.dim!r}") from None
         if self.dim < 1:
             raise ValueError("system dimension must be positive")
+
+    def __reduce_ex__(self, protocol):
+        # The rhs of a system written as text has no import path: such a
+        # system pickles as its text, which gives back the same system.
+        text = getattr(self, "_text", None)
+        return super().__reduce_ex__(protocol) if text is None else (OdeSystem._from_text, text)
+
+    @classmethod
+    @functools.cache
+    def _from_text(cls, components: str, expressions: str) -> "OdeSystem":
+        """The autonomous system ``(components) -> (expressions)``, its rhs written once.
+
+        ``components`` names the state entries and ``expressions`` gives their
+        derivatives, each comma-separated, as float arithmetic over those names
+        only.  The one text, kept as the system's ``_text``, makes both the
+        callable ``rhs`` and every rhs call of the system's march (see
+        :func:`_inline`), so the two do the same float operations.
+        """
+        names, exprs = _terms((components, expressions))
+        words = set(re.findall(r"\b[^\W\d]\w*", expressions))
+        if len(exprs) != len(names) or not words <= set(names):
+            raise ValueError(f"{expressions!r} are not expressions over {components!r}")
+        source = ("def rhs(eta, y):\n"
+                  f"    {''.join(name + ', ' for name in names)}= y\n"
+                  f"    return [{expressions}]\n")
+        rhs = _compile(source, f"<itmflow.ode rhs: {expressions}>", "rhs")
+        rhs.__doc__ = f"({components}) -> ({expressions})"
+        system = cls(rhs, len(names))
+        object.__setattr__(system, "_text", (components, expressions))
+        return system
+
+
+def _terms(text) -> tuple:
+    """The component names and the expressions of a ``(components, expressions)`` text."""
+    components, expressions = text
+    return tuple(re.findall(r"\w+", components)), tuple(map(str.strip, expressions.split(",")))
 
 
 def _float_tuple(values) -> tuple:
@@ -259,7 +299,8 @@ class Trajectory:
 # update, and of sum in the finiteness gate.  The error ratio is the largest
 # component of |two - full| / (abs_tol + rel_tol*|y|); a ratio of at most 1
 # accepts the Richardson extrapolation two + (two - full) / 15.  The state
-# stays in component locals; each rhs call gets a fresh list.
+# stays in component locals; each rhs call gets a fresh list, or is written
+# out inline (_inline).
 _MARCH = """\
 def march(rhs, eta, end, h, y, k, abs_tol, rel_tol, min_step, max_step, max_steps, stop):
     `y@`, = y
@@ -337,28 +378,68 @@ def march(rhs, eta, end, h, y, k, abs_tol, rel_tol, min_step, max_step, max_step
 """
 
 
+# A rhs call of the march: `X@`, = rhs(at, [`S`]) hands the rhs a fresh list
+# of the stage values S.
+_STAGE = re.compile(r"^( *)`(\w)@`, = rhs\([^\n\[]*\[`([^`]*)`\]\)$", re.M)
+
+
+def _inline(source: str, text) -> str:
+    """``source``, the march template, with ``text`` written out for each rhs call.
+
+    ``text`` is the ``_text`` of an :meth:`OdeSystem._from_text` system.
+    A call becomes the expressions on its stage values, the components renamed
+    to ``z0, z1, ...`` bound to those values, or straight to the state locals a
+    call passes (``u@``, ``y@``), so no model name meets a march local.  The
+    accepted state goes into a list only for ``stop``.
+    """
+    names, exprs = _terms(text)
+    source = re.sub(r"^ *y = \[`y@`\]\n", "", source, flags=re.M)
+    source = source.replace("(eta, y)", "(eta, [`y@`])")
+
+    def stage(match):
+        indent, target, values = match.groups()
+        local, bind = values, ""
+        if not re.fullmatch(r"\w+@", values):
+            local, bind = "z@", f"{indent}`; |z@ = {values}`\n"
+        rename = {name: local.replace("@", str(i)) for i, name in enumerate(names)}
+        return bind + indent + "; ".join(
+            f"{target}{i} = " + re.sub(r"\w+", lambda m: rename.get(m[0], m[0]), expr)
+            for i, expr in enumerate(exprs))
+
+    return _STAGE.sub(stage, source)
+
+
 @functools.cache
-def _march(dim: int):
+def _march(dim: int, text=None):
     """The adaptive march for a ``dim``-equation system, compiled from ``_MARCH``.
 
-    Its source is registered with :mod:`linecache` under a pseudo-filename, so
-    tracebacks and profiles show the unrolled lines.
+    With the ``text`` of an :meth:`OdeSystem._from_text` the march computes that
+    rhs inline and never calls its ``rhs`` argument; with ``None`` it calls it.
     """
     def repeat(span):
         joiner, _, body = span[1].rpartition("|")
         return (joiner or ", ").join(body.replace("@", str(i)) for i in range(dim))
 
-    source = re.sub(r"`([^`]*)`", repeat, _MARCH)
-    filename = f"<itmflow.ode march dim={dim}>"
-    namespace = {}
-    exec(compile(source, filename, "exec"), globals(), namespace)
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    march, zeros = namespace["march"], (0.0,) * dim
+    source = re.sub(r"`([^`]*)`", repeat, _MARCH if text is None else _inline(_MARCH, text))
+    label = "" if text is None else ": " + text[1]
+    march, zeros = _compile(source, f"<itmflow.ode march dim={dim}{label}>", "march"), (0.0,) * dim
     # CPython 3.11 specializes a function's bytecode from its 8th call on, and
     # a march is called once per IVP: warm it up on empty spans.
     for _ in range(8):
         march(None, 0.0, 0.0, 0.0, zeros, zeros, 0.0, 0.0, 0.0, 0.0, 0, None)
     return march
+
+
+def _compile(source: str, filename: str, name: str):
+    """The function ``name`` that ``source`` defines, compiled under ``filename``.
+
+    The source is registered with :mod:`linecache` under that pseudo-filename,
+    so tracebacks and profiles show its lines.
+    """
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return namespace[name]
 
 
 def _nonfinite_ratio(eta, errs, y_full, y_two):
@@ -445,7 +526,8 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
             raise ValueError(f"rhs returned shape {shape}, system dimension is {len(y)}")
         if not _finite(k):
             raise _blow_up(start)
-        rows = _march(len(y))(rhs, start, end, min(control.initial_step, end - start, max_step),
-                              y, k, control.abs_tol, control.rel_tol, control.min_step,
-                              max_step, control.max_steps, control.stop)
+        march = _march(len(y), getattr(spec.system, "_text", None))
+        rows = march(rhs, start, end, min(control.initial_step, end - start, max_step), y, k,
+                     control.abs_tol, control.rel_tol, control.min_step, max_step,
+                     control.max_steps, control.stop)
         return Trajectory._from_rows(rows)

@@ -1,6 +1,7 @@
 """Model right-hand sides, initial conditions and the sensitivity block."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ def test_rhs_returns_python_floats(system):
     out = system.rhs(0.0, [0.1 * (i + 1) for i in range(system.dim)])
     assert len(out) == system.dim
     assert all(type(v) is float for v in out)
+
+
+@pytest.mark.parametrize("system", [SIMILARITY_SYSTEM, AUGMENTED_SYSTEM],
+                         ids=["similarity", "augmented"])
+def test_systems_pickle(system):
+    # A worker process is sent its IVP pickled: the system must come back as itself.
+    assert pickle.loads(pickle.dumps(system)) == system
 
 
 class TestInitialConditions:

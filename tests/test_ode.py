@@ -1,5 +1,6 @@
 """Integrator tests: the adaptive RK4 march, free and pinned to a uniform step."""
 
+import dataclasses
 import functools
 import math
 import re
@@ -13,7 +14,7 @@ from itmflow import (BlowUpError, IntegrationError, IvpSpec, ItmConfig, OdeSyste
                      integrate_adaptive, sakiadis_star_ic, solve_blasius_topfer,
                      solve_sakiadis)
 from itmflow import ode
-from itmflow.models import SIMILARITY_SYSTEM
+from itmflow.models import AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, augmented_ic
 
 
 def _const_zero(eta, y):
@@ -393,6 +394,60 @@ class TestRhsContract:
         arrays = integrate_adaptive(IvpSpec(0.0, 10.0, ic, OdeSystem(as_ndarray, 3)))
         assert np.array_equal(arrays.etas, lists.etas)
         assert np.array_equal(arrays.states, lists.states)
+
+
+class TestInlinedRhs:
+    """The package's systems march with their rhs inlined, bit for bit as when it is called."""
+
+    @staticmethod
+    def _outcome(spec, control):
+        try:
+            return integrate_adaptive(spec, control).rows()
+        except IntegrationError as exc:
+            return type(exc), str(exc), exc.eta
+
+    @staticmethod
+    def _certify(root):
+        """The sign -1 probe's certified stop, as the solver sets it."""
+        def stop(eta, y):
+            if y[1] + root <= 0.0:
+                raise IntegrationError(f"f' + sqrt(h*) = {y[1] + root!r}", eta)
+        return stop
+
+    def _pool(self):
+        """60 probes: both signs, with and without the stop, and the augmented system."""
+        controls = (StepControl(), StepControl(abs_tol=1e-10, rel_tol=1e-10),
+                    StepControl(max_steps=7))
+        for h_star in (0.5, 1.5, 2.5, 3.5, 8.0):
+            starts = [(sakiadis_star_ic(h_star, 1), SIMILARITY_SYSTEM, None),
+                      (sakiadis_star_ic(h_star, -1), SIMILARITY_SYSTEM, None),
+                      (sakiadis_star_ic(h_star, -1), SIMILARITY_SYSTEM, math.sqrt(h_star)),
+                      (augmented_ic(h_star), AUGMENTED_SYSTEM, math.sqrt(h_star))]
+            for control in controls:
+                for ic, system, root in starts:
+                    stop = None if root is None else self._certify(root)
+                    yield ic, system, dataclasses.replace(control, stop=stop)
+
+    def test_pool_matches_the_called_rhs(self):
+        kinds = set()
+        for ic, system, control in self._pool():
+            called = OdeSystem(lambda eta, y, rhs=system.rhs: rhs(eta, y), system.dim)
+            inlined = self._outcome(IvpSpec(0.0, 10.0, ic, system), control)
+            assert repr(inlined) == repr(self._outcome(IvpSpec(0.0, 10.0, ic, called), control))
+            kinds.add(inlined[0] if isinstance(inlined[0], type) else Trajectory)
+        # trajectories, certified stops, step underflows and exhausted budgets all occur
+        assert {Trajectory, IntegrationError, StepUnderflowError, StepLimitError} <= kinds
+
+    @pytest.mark.parametrize("system", [SIMILARITY_SYSTEM, AUGMENTED_SYSTEM],
+                             ids=["similarity", "augmented"])
+    def test_march_never_calls_rhs(self, system):
+        # Given no rhs at all, the inlined march still integrates.
+        ic = sakiadis_star_ic(2.5) if system.dim == 3 else augmented_ic(2.5)
+        traj = integrate_adaptive(IvpSpec(0.0, 10.0, ic, system))
+        rows = ode._march(system.dim, system._text)(
+            None, 0.0, 10.0, 0.01, ic, tuple(system.rhs(0.0, list(ic))),
+            1e-6, 1e-6, 1e-12, 2.5, 10 ** 6, None)
+        assert rows == list(traj.rows())
 
 
 class TestTrajectory:

@@ -6,7 +6,10 @@ library's float-list rhs as an ndarray one.  The library kernel carries
 states as Python floats through a march unrolled per system dimension
 (the cases cover dimensions 1, 2, 3 and 6) but keeps every float operation
 in the same order, so trajectories, errors and the whole sequence of rhs
-calls must match bit for bit; regrouping any of the arithmetic fails here.
+calls must match bit for bit; any regrouping of the arithmetic that
+changes a rounding fails here.  Every case wraps its rhs to record the
+calls, which runs the march that calls it; the cases of the package's own
+systems also run unwrapped, on the march that computes their rhs inline.
 """
 
 import struct
@@ -157,3 +160,18 @@ def test_adaptive_matches_reference(case):
     spec, control = ADAPTIVE_CASES[case]
     _assert_same(_outcome(integrate_adaptive, spec, control),
                  _outcome(reference_adaptive, spec, control, adapt=_ndarray_rhs))
+
+
+INLINED_CASES = [case for case, (spec, _) in ADAPTIVE_CASES.items()
+                 if spec.system in (SIMILARITY_SYSTEM, AUGMENTED_SYSTEM)]
+
+
+@pytest.mark.parametrize("case", INLINED_CASES)
+def test_inlined_march_matches_reference(case):
+    spec, control = ADAPTIVE_CASES[case]
+    try:
+        result = integrate_adaptive(spec, control)
+    except IntegrationError as exc:
+        result = (type(exc), str(exc), exc.eta)
+    reference = _outcome(reference_adaptive, spec, control, adapt=_ndarray_rhs)
+    _assert_same(([], result), ([], reference[1]))
