@@ -180,25 +180,14 @@ def evaluate_gamma_with_derivative(h_star: float,
     return evaluation
 
 
-def _finalize(iterates, accepted, traj):
-    """Converged result at the ``accepted`` iterate, whose raw starred trajectory is ``traj``."""
-    return ItmResult(
-        iterates=iterates,
-        converged=True,
-        final_h_star=accepted.h_star,
-        final_lambda=accepted.lam,
-        final_wall_shear=accepted.wall_shear,
-        rescaled_solution=rescale_trajectory(
-            accepted.lam, Trajectory._from_rows([row[:4] for row in traj.rows()])),
-    )
-
-
 def solve_sakiadis(config: ItmConfig | None = None) -> ItmResult:
     """Solve the Sakiadis problem by the iterative transformation method.
 
     Every Gamma evaluation is recorded as an :class:`ItmIterate` (including
     the seeds), mirroring the iteration tables the method produces.
-    Convergence is ``|Gamma| <= gamma_tol``.  A probe with a certified
+    Convergence is ``|Gamma| <= gamma_tol``, and the result is that of the
+    newest probe within it: when both secant seeds converge, the second one.
+    Only that probe's starred trajectory is kept.  A probe with a certified
     degenerate far field counts as Gamma = +inf.  Once both signs occur they
     bracket the root, and a secant or Newton step that leaves the bracket is
     replaced by an Illinois step (bisection next to a certified end).
@@ -214,16 +203,17 @@ def solve_sakiadis(config: ItmConfig | None = None) -> ItmResult:
     config = ItmConfig() if config is None else config
     newton = config.root_finder == NEWTON
     iterates: list[ItmIterate] = []
-    latest = []  # (evaluation, starred trajectory) of the last two probes, newest first
     ends = {}  # Gamma > 0 -> [h*, Illinois weight] of the newest probe with that sign
+    # (iterate, starred trajectory) of the newest probe within gamma_tol; the newest dGamma/dh*
+    converged = slope = None
 
     def probe(h_star):
+        nonlocal converged, slope
         try:
             evaluation, traj = _evaluate(h_star, config.sign, config.eta_inf_star,
                                          config.step_control, newton)
-            lam, gamma = evaluation.lam, evaluation.gamma
+            lam, gamma, slope = evaluation.lam, evaluation.gamma, evaluation.dgamma_dh
         except DegenerateFarFieldError:
-            evaluation = traj = None
             lam, gamma = math.nan, math.inf
         # The missing initial curvature maps back as lam^-3 f*''(0).
         iterates.append(ItmIterate(j=len(iterates), h_star=float(h_star), lam=lam,
@@ -232,32 +222,29 @@ def solve_sakiadis(config: ItmConfig | None = None) -> ItmResult:
         if len(iterates) > 1 and (iterates[-2].gamma > 0.0) == side and (not side) in ends:
             ends[not side][1] *= 0.5  # Illinois: an end kept twice running has its weight halved
         ends[side] = [float(h_star), gamma]
-        latest[:] = [(evaluation, traj)] + latest[:1]
+        if abs(gamma) <= config.gamma_tol:
+            converged = iterates[-1], traj
 
     probe(config.h0)
     if not newton:
         probe(config.h1)
-    while True:
-        # Only the secant seed h0 can converge as the older of the two probes.
-        for age, (evaluation, traj) in enumerate(latest):
-            if evaluation is not None and abs(evaluation.gamma) <= config.gamma_tol:
-                return _finalize(iterates, iterates[-1 - age], traj)
-        newest = iterates[-1]
-        if len(iterates) >= config.max_iterations or (config.sign == 1 and newest.gamma <= -0.75):
+    while converged is None:
+        cur = iterates[-1]
+        if len(iterates) >= config.max_iterations or (config.sign == 1 and cur.gamma <= -0.75):
             return ItmResult(iterates=iterates, converged=False)
         bracket = sorted(ends.values()) if len(ends) == 2 else None
-        cur = latest[0][0]
         h_next = math.nan
-        if newton and cur is not None:
-            if abs(cur.dgamma_dh) >= _MIN_DERIVATIVE:
-                h_next = cur.h_star - cur.gamma / cur.dgamma_dh
+        # A certified probe (NaN lam) gives no step to take.
+        if newton and not math.isnan(cur.lam):
+            if abs(slope) >= _MIN_DERIVATIVE:
+                h_next = cur.h_star - cur.gamma / slope
             elif bracket is None:
                 raise RootFinderBreakdownError(
-                    f"newton breakdown: |dGamma/dh*| = {abs(cur.dgamma_dh):.3g} at "
+                    f"newton breakdown: |dGamma/dh*| = {abs(slope):.3g} at "
                     f"h* = {cur.h_star:.6g}"
                 )
-        elif not newton and cur is not None and latest[1][0] is not None:
-            prev = latest[1][0]
+        elif not newton and not any(math.isnan(it.lam) for it in iterates[-2:]):
+            prev = iterates[-2]
             if cur.gamma != prev.gamma:
                 h_next = cur.h_star - cur.gamma * (cur.h_star - prev.h_star) \
                     / (cur.gamma - prev.gamma)
@@ -272,8 +259,13 @@ def solve_sakiadis(config: ItmConfig | None = None) -> ItmResult:
                 if not a < h_next < b:
                     h_next = 0.5 * (a + b)
         elif not h_next > 0.0:
-            h_next = 2.0 * newest.h_star if newest.gamma > 0.0 else 0.5 * newest.h_star
+            h_next = 2.0 * cur.h_star if cur.gamma > 0.0 else 0.5 * cur.h_star
         probe(h_next)
+    accepted, traj = converged
+    return ItmResult(iterates=iterates, converged=True, final_h_star=accepted.h_star,
+                     final_lambda=accepted.lam, final_wall_shear=accepted.wall_shear,
+                     rescaled_solution=rescale_trajectory(
+                         accepted.lam, Trajectory._from_rows([row[:4] for row in traj.rows()])))
 
 
 def solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0, 10.0),
@@ -304,19 +296,14 @@ def solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0, 10.0),
         raise ValueError("agreement_tol must be positive")
     control = StepControl() if step_control is None else step_control
 
-    pieces = []
+    rows, far_slopes = [], []
     state = blasius_star_ic()
-    start = 0.0
-    for boundary in checks:
-        spec = IvpSpec(start, boundary, state, SIMILARITY_SYSTEM)
-        pieces.append(integrate_adaptive(spec, control))
-        state = pieces[-1].final_state
-        start = boundary
+    for start, boundary in zip([0.0] + checks, checks):
+        piece = integrate_adaptive(IvpSpec(start, boundary, state, SIMILARITY_SYSTEM), control)
+        rows += piece.rows()[1:] if rows else piece.rows()  # a later piece repeats the last sample
+        state = piece.final_state
+        far_slopes.append(state[1])
 
-    star_traj = Trajectory._from_rows(
-        pieces[0].rows() + tuple(row for p in pieces[1:] for row in p.rows()[1:]))
-
-    far_slopes = [p.final_state[1] for p in pieces]
     lambda_checks = [(boundary, topfer_reduce(far)[0])
                      for boundary, far in zip(checks, far_slopes)]
 
@@ -335,7 +322,7 @@ def solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0, 10.0),
     lam, wall_shear = topfer_reduce(far)
     # The starred->original map stretches eta by sqrt(far slope), the
     # reciprocal of the reported parameter.
-    rescaled = rescale_trajectory(far ** 0.5, star_traj)
+    rescaled = rescale_trajectory(far ** 0.5, Trajectory._from_rows(rows))
     return TopferResult(
         lambda_checks=lambda_checks,
         accepted_eta=checks[accepted],

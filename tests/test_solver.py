@@ -247,6 +247,20 @@ class TestCertifiedBracketing:
         assert all(2.0 < it.h_star < 4.0 for it in res.iterates[2:])
         assert abs(res.iterates[-1].h_star - 3.0) < 0.05
 
+    def test_flat_newton_inside_bracket_does_not_break_down(self, monkeypatch):
+        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 6)))
+
+        def step_evaluate(h_star, sign, eta_inf, control, with_derivative):
+            if h_star < 1.5:
+                raise DegenerateFarFieldError("certified below the root", 0.5)
+            return GammaEvaluation(h_star, 0.0, 1.2, -1.0, dgamma_dh=0.0), traj
+
+        monkeypatch.setattr(solver_mod, "_evaluate", step_evaluate)
+        res = solve_sakiadis(ItmConfig(root_finder="newton", h0=1.0, h1=None, max_iterations=6))
+        assert not res.converged
+        # doubled past the certified seed, then bracket steps: no Newton breakdown
+        assert [it.h_star for it in res.iterates] == [1.0, 2.0, 1.5, 1.25, 1.375, 1.4375]
+
 
 class TestRescaledSolution:
     def test_boundary_conditions(self):
