@@ -296,36 +296,29 @@ def solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0, 10.0),
         raise ValueError("agreement_tol must be positive")
     control = StepControl() if step_control is None else step_control
 
-    rows, far_slopes = [], []
+    rows, lambda_checks = [], []
+    accepted = None  # (boundary, far slope, lam, wall shear) of the first agreeing boundary
     state = blasius_star_ic()
     for start, boundary in zip([0.0] + checks, checks):
         piece = integrate_adaptive(IvpSpec(start, boundary, state, SIMILARITY_SYSTEM), control)
         rows += piece.rows()[1:] if rows else piece.rows()  # a later piece repeats the last sample
         state = piece.final_state
-        far_slopes.append(state[1])
-
-    lambda_checks = [(boundary, topfer_reduce(far)[0])
-                     for boundary, far in zip(checks, far_slopes)]
-
-    accepted = None
-    for k in range(len(checks) - 1):
-        if abs(lambda_checks[k + 1][1] - lambda_checks[k][1]) <= agreement_tol:
-            accepted = k + 1
-            break
+        lam, wall_shear = topfer_reduce(state[1])
+        if accepted is None and lambda_checks and abs(lam - lambda_checks[-1][1]) <= agreement_tol:
+            accepted = boundary, state[1], lam, wall_shear
+        lambda_checks.append((boundary, lam))
     if accepted is None:
         raise TopferAgreementError(
             "no subsequent truncated-boundary parameters agree within "
             f"{agreement_tol:.3g}", lambda_checks
         )
-
-    far = far_slopes[accepted]
-    lam, wall_shear = topfer_reduce(far)
+    accepted_eta, far, lam, wall_shear = accepted
     # The starred->original map stretches eta by sqrt(far slope), the
     # reciprocal of the reported parameter.
     rescaled = rescale_trajectory(far ** 0.5, Trajectory._from_rows(rows))
     return TopferResult(
         lambda_checks=lambda_checks,
-        accepted_eta=checks[accepted],
+        accepted_eta=accepted_eta,
         accepted_lambda=lam,
         wall_shear=wall_shear,
         rescaled_solution=rescaled,

@@ -86,8 +86,12 @@ def topfer_reduce(far_slope: float) -> tuple[float, float]:
 
     Returns ``(lam, wall_shear)`` with ``lam = far_slope**-0.5`` and
     ``wall_shear = far_slope**-1.5`` (the rescaled f''(0) for unit starred
-    curvature).
+    curvature).  Raises ``ValueError`` unless the far slope is positive,
+    finite and above about 3.14e-206, below which ``far_slope**-1.5`` overflows.
     """
     if not (far_slope > 0 and math.isfinite(far_slope)):
         raise ValueError(f"far slope must be positive and finite, got {far_slope}")
-    return far_slope ** -0.5, far_slope ** -1.5
+    try:
+        return far_slope ** -0.5, far_slope ** -1.5
+    except OverflowError:
+        raise ValueError(f"far slope {far_slope:.6g} is too small: far_slope**-1.5 overflows") from None

@@ -59,10 +59,17 @@ class TestExitCodes:
         assert "not converged" in out
 
     def test_topfer_disagreement_exit(self, capsys):
-        code, _, err = run_cli(capsys, "blasius", "--eta-checks", "4,6",
-                               "--agreement-tol", "1e-9")
-        assert code == 2
-        assert "agree" in err
+        # 1e-200 is still above the far slope whose wall shear overflows
+        for argv in (("4,6", "--agreement-tol", "1e-9"), ("1e-200,2e-200",)):
+            code, _, err = run_cli(capsys, "blasius", "--eta-checks", *argv)
+            assert code == 2
+            assert "agree" in err
+
+    def test_topfer_overflowing_wall_shear_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "blasius", "--eta-checks", "1e-300,2e-300")
+        assert code == 1
+        assert out == ""
+        assert err == "itmflow: far slope 1e-300 is too small: far_slope**-1.5 overflows\n"
 
     def test_diverging_seeds_converge(self, capsys):
         # Both seeds lie below the root and are certified: h* doubles until

@@ -315,7 +315,8 @@ class TestTopfer:
     def test_default_checks(self):
         res = solve_blasius_topfer()
         assert res.accepted_eta == 6.0
-        assert len(res.lambda_checks) == 4
+        assert [eta for eta, _ in res.lambda_checks] == [4.0, 6.0, 8.0, 10.0]
+        assert res.accepted_lambda == dict(res.lambda_checks)[res.accepted_eta]
         assert abs(res.wall_shear - 0.332057) <= 1e-5
         # frozen far-field parameter from a rtol=1e-12 reference run
         assert abs(res.accepted_lambda - 0.6924755467) <= 1e-6
@@ -328,6 +329,8 @@ class TestTopfer:
     def test_tight_agreement_marches_past_first_pair(self):
         res = solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0), agreement_tol=1e-5)
         assert res.accepted_eta == 8.0
+        assert [eta for eta, _ in res.lambda_checks] == [4.0, 6.0, 8.0]
+        assert res.accepted_lambda == dict(res.lambda_checks)[res.accepted_eta]
         assert abs(res.wall_shear - 0.332057) <= 1e-5
 
     def test_far_plateau_beyond_ten(self):

@@ -155,3 +155,8 @@ class TestTopferReduce:
             topfer_reduce(0.0)
         with pytest.raises(ValueError, match="far slope must be positive and finite"):
             topfer_reduce(math.inf)
+
+    def test_overflowing_wall_shear_is_value_error(self):
+        # far_slope**-1.5 overflows below about 3.14e-206
+        with pytest.raises(ValueError, match="far slope 1e-300 is too small"):
+            topfer_reduce(1e-300)
