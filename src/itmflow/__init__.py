@@ -10,40 +10,21 @@ iteration.  Scanning Gamma over a grid doubles as a numerical
 existence/uniqueness probe.
 """
 
-from .models import (AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, augmented_ic,
-                     blasius_star_ic, sakiadis_star_ic)
-from .ode import (BACKEND, BlowUpError, IntegrationError, IvpSpec, OdeSystem,
-                  StepControl, StepLimitError, StepUnderflowError, Trajectory,
-                  integrate_adaptive)
-from .scan import (ScanFailedError, ScanGrid, ScanReport, ScanSample,
-                   export_scan, scan)
-from .solver import (ItmConfig, ItmIterate, ItmResult,
-                     RootFinderBreakdownError, TopferAgreementError,
-                     TopferResult, evaluate_gamma_at,
-                     evaluate_gamma_with_derivative, solve_blasius_topfer,
-                     solve_sakiadis)
-from .transform import (DegenerateFarFieldError, GammaEvaluation,
-                        rescale_trajectory, topfer_reduce)
+from . import models, ode, scan, solver, transform
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKEND", "__version__",
-    # ode
-    "OdeSystem", "IvpSpec", "StepControl", "Trajectory",
-    "IntegrationError", "BlowUpError", "StepUnderflowError", "StepLimitError",
-    "integrate_adaptive",
-    # models
-    "SIMILARITY_SYSTEM", "AUGMENTED_SYSTEM",
-    "blasius_star_ic", "sakiadis_star_ic", "augmented_ic",
-    # transform
-    "GammaEvaluation", "DegenerateFarFieldError", "rescale_trajectory", "topfer_reduce",
-    # solver
-    "ItmConfig", "ItmIterate", "ItmResult", "TopferResult",
-    "RootFinderBreakdownError", "TopferAgreementError",
-    "evaluate_gamma_at", "evaluate_gamma_with_derivative",
-    "solve_sakiadis", "solve_blasius_topfer",
-    # scan
-    "ScanGrid", "ScanSample", "ScanReport", "ScanFailedError",
-    "scan", "export_scan",
-]
+# Each module's __all__ is the one list of its public names.  Read scan's
+# before ``from .scan import *`` rebinds ``scan`` from the module to the function.
+__all__ = ["__version__"]
+__all__ += ode.__all__
+__all__ += models.__all__
+__all__ += transform.__all__
+__all__ += solver.__all__
+__all__ += scan.__all__
+
+from .ode import *  # noqa: E402,F403
+from .models import *  # noqa: E402,F403
+from .transform import *  # noqa: E402,F403
+from .solver import *  # noqa: E402,F403
+from .scan import *  # noqa: E402,F403

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .ode import BACKEND, IntegrationError, StepControl
 from .scan import ScanGrid, export_scan, scan
-from .solver import (ItmConfig, RootFinderBreakdownError, TopferAgreementError,
-                     solve_blasius_topfer, solve_sakiadis)
+from .solver import (NEWTON, SECANT, ItmConfig, RootFinderBreakdownError,
+                     TopferAgreementError, solve_blasius_topfer, solve_sakiadis)
 
 
 class UsageError(Exception):
@@ -93,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sak = subs.add_parser("sakiadis", help="moving-plate flow via the "
                           "iterative transformation method")
-    sak.add_argument("--root-finder", choices=("secant", "newton"),
-                     default="secant")
+    sak.add_argument("--root-finder", choices=(SECANT, NEWTON), default=SECANT)
     sak.add_argument("--h0", type=float, default=2.5, help="first seed (default 2.5)")
     sak.add_argument("--h1", type=float, default=3.5,
                      help="second secant seed (default 3.5; ignored by newton)")
@@ -152,7 +151,7 @@ def _trajectory_csv(traj) -> str:
 
 
 def cmd_sakiadis(args) -> Report:
-    args.h1 = None if args.root_finder == "newton" else args.h1  # newton has no h1
+    args.h1 = None if args.root_finder == NEWTON else args.h1  # newton has no h1
     result = solve_sakiadis(ItmConfig(
         root_finder=args.root_finder, h0=args.h0, h1=args.h1, sign=args.sign,
         eta_inf_star=args.eta_inf_star, gamma_tol=args.gamma_tol,

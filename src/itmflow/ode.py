@@ -349,14 +349,13 @@ def march(rhs, eta, end, h, y, k, abs_tol, rel_tol, min_step, max_step, max_step
             if ratio <= 1.0:
                 eta = end if last else eta + h
                 `y@`, = `t@ + (t@ - f@) / 15.0`,
-                y = [`y@`]
                 rows.append((eta, `y@`))
-                `k@`, = rhs(eta, y)
+                `k@`, = rhs(eta, [`y@`])
                 # x - x is 0.0 for a finite x and NaN otherwise; it cannot overflow.
                 if ` + |(y@ - y@) + (k@ - k@)` != 0.0:
                     raise _blow_up(eta)
                 if stop is not None:
-                    stop(eta, y)
+                    stop(eta, [`y@`])
                 fac = 5.0 if ratio == 0.0 else _SAFETY * ratio ** -0.2
                 h *= 5.0 if fac > 5.0 else fac
                 h = max_step if h > max_step else h
@@ -389,12 +388,9 @@ def _inline(source: str, text) -> str:
     ``text`` is the ``_text`` of an :meth:`OdeSystem._from_text` system.
     A call becomes the expressions on its stage values, the components renamed
     to ``z0, z1, ...`` bound to those values, or straight to the state locals a
-    call passes (``u@``, ``y@``), so no model name meets a march local.  The
-    accepted state goes into a list only for ``stop``.
+    call passes (``u@``, ``y@``), so no model name meets a march local.
     """
     names, exprs = _terms(text)
-    source = re.sub(r"^ *y = \[`y@`\]\n", "", source, flags=re.M)
-    source = source.replace("(eta, y)", "(eta, [`y@`])")
 
     def stage(match):
         indent, target, values = match.groups()

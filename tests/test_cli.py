@@ -41,6 +41,12 @@ class TestExitCodes:
             assert code == 1
             assert "two" in err
 
+    def test_malformed_eta_checks_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "blasius", "--eta-checks", "4,x")
+        assert code == 1
+        assert out == ""
+        assert "invalid eta checks '4,x'" in err
+
     def test_infinite_agreement_tol_rejected(self, capsys):
         # JSON has no Infinity, so the config block could not be written
         code, out, err = run_cli(capsys, "blasius", "--agreement-tol", "inf",

@@ -1,7 +1,9 @@
 """Every name a module exports resolves, so a stale ``__all__`` entry fails here;
-and no module reaches into a sibling through a private name."""
+the package re-exports its modules' ``__all__`` and declares no name of its own
+but ``__version__``; and no module reaches into a sibling through a private name."""
 
 import ast
+import importlib
 import pkgutil
 from pathlib import Path
 
@@ -16,6 +18,17 @@ MODULES = ["itmflow"] + [f"itmflow.{m.name}" for m in pkgutil.iter_modules(itmfl
 def test_star_import(module):
     # ``import *`` raises AttributeError on a name in ``__all__`` that does not exist.
     exec(f"from {module} import *", {})
+
+
+def test_package_reexports_each_module_all():
+    # ``itmflow.scan`` is the function, so the modules come from importlib.
+    modules = [importlib.import_module(f"itmflow.{name}")
+               for name in ("ode", "models", "transform", "solver", "scan")]
+    assert itmflow.__all__ == ["__version__"] + [n for m in modules for n in m.__all__]
+    assert len(set(itmflow.__all__)) == len(itmflow.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(itmflow, name) is getattr(module, name), name
 
 
 def test_no_private_imports_between_modules():

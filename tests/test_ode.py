@@ -214,6 +214,24 @@ class TestIntegrateAdaptive:
             integrate_adaptive(spec)
         assert 4.8 < err.value.eta < 5.2
 
+    def test_overflowing_error_estimate_rejects_the_attempt(self, monkeypatch):
+        # On the first attempt (h = 10) the full and the two half steps end at
+        # finite states 2e308 apart: the error overflows to inf, the attempt is
+        # rejected and the march goes on from h = 1.
+        C = 1.5e307
+        ratios, nonfinite_ratio = [], ode._nonfinite_ratio
+
+        def recording(*args):
+            ratios.append(nonfinite_ratio(*args))
+            return ratios[-1]
+
+        monkeypatch.setattr(ode, "_nonfinite_ratio", recording)
+        system = OdeSystem(lambda eta, y: [-C if eta in (2.5, 7.5) else C], 1)
+        traj = integrate_adaptive(IvpSpec(0.0, 10.0, [0.0], system),
+                                  StepControl(initial_step=10.0, max_step=10.0))
+        assert ratios == [math.inf]
+        assert traj.etas[1] == 1.0 and math.isfinite(traj.final_state[0])
+
     def test_step_underflow(self):
         # near the pole of y' = y^2 the controller needs steps below min_step
         spec = IvpSpec(0.0, 3.0, np.array([1.0]), OdeSystem(_square, 1))
@@ -236,6 +254,18 @@ class TestTerminalEvent:
         assert [eta for eta, _ in seen] == traj.etas[1:].tolist()
         assert [y for _, y in seen] == traj.states[1:].tolist()
         assert all(type(y) is list for _, y in seen)
+
+    def test_stop_gets_its_own_list(self):
+        # A rhs that overwrites its argument must not change what stop sees.
+        def overwriting(eta, y):
+            y[1] = 7.0
+            return [1.0, 0.0]
+
+        seen = []
+        control = StepControl(stop=lambda eta, y: seen.append((eta, *y)))
+        traj = integrate_adaptive(IvpSpec(0.0, 1.0, [0.0, 0.0], OdeSystem(overwriting, 2)),
+                                  control)
+        assert seen == list(traj.rows()[1:])
 
     def test_stop_ends_the_march(self):
         def stop(eta, y):
@@ -523,16 +553,25 @@ class TestValidation:
         assert spec.initial_state == (1.0, 2.0, 3.0)
         assert all(type(v) is float for v in (spec.start, spec.end, *spec.initial_state))
 
-    @pytest.mark.parametrize("etas, states", [
-        (np.array([[0.0], [1.0]]), np.zeros((2, 3))),
-        (np.array([0.0, 1.0]), np.zeros(2)),
-        ([0.0, 1.0], [0.0, 0.0]),
-        ([0.0, 1.0], [(0.0, 0.0), (0.0,)]),
-        ([0.0, 1.0, 2.0], np.zeros((2, 3))),
-    ], ids=["2-D etas", "1-D states", "flat state list", "ragged", "count"])
-    def test_trajectory_checks(self, etas, states):
-        with pytest.raises(ValueError, match="inconsistent trajectory arrays"):
+    @pytest.mark.parametrize("etas, states, message", [
+        (np.array([[0.0], [1.0]]), np.zeros((2, 3)), "inconsistent trajectory arrays"),
+        (np.array([0.0, 1.0]), np.zeros(2), "inconsistent trajectory arrays"),
+        ([0.0, 1.0], [0.0, 0.0], "inconsistent trajectory arrays"),
+        ([0.0, 1.0], [(0.0, 0.0), (0.0,)], "inconsistent trajectory arrays"),
+        ([0.0, 1.0, 2.0], np.zeros((2, 3)), "inconsistent trajectory arrays"),
+        ([0.0], [[1.0]], "a trajectory needs at least two samples"),
+        ([0.0, 0.0], [[1.0], [1.0]], "trajectory etas must be strictly increasing"),
+    ], ids=["2-D etas", "1-D states", "flat state list", "ragged", "count", "one sample",
+            "repeated eta"])
+    def test_trajectory_checks(self, etas, states, message):
+        with pytest.raises(ValueError, match=message):
             Trajectory(etas, states)
+
+    @pytest.mark.parametrize("text", [("f, fp", "fp, g"), ("f, fp", "fp")],
+                             ids=["unknown name", "count"])
+    def test_text_system_checks(self, text):
+        with pytest.raises(ValueError, match="are not expressions over"):
+            OdeSystem._from_text(*text)
 
     @pytest.mark.parametrize("kwargs", [
         {"abs_tol": 0.0},

@@ -4,13 +4,14 @@ import csv
 import io
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from itmflow import (IntegrationError, ItmConfig, ScanFailedError, ScanGrid,
-                     StepControl, evaluate_gamma_at, export_scan, scan,
-                     solve_sakiadis)
+                     StepControl, StepLimitError, evaluate_gamma_at, export_scan,
+                     scan, solve_sakiadis)
 
 DEFAULT_GRID = ScanGrid(h_min=0.5, h_max=20.0, count=40)
 
@@ -132,6 +133,18 @@ class TestVerdicts:
         assert report.brackets == [(2.2463559516993765, 2.9603497144980264)]
         assert [s.failed for s in report.samples[:4]] == [True, True, True, False]
         assert math.isnan(report.samples[2].gamma)
+
+    def test_failed_probe_inside_bracket_is_inconclusive(self, monkeypatch):
+        def failing_at_3(h, config):
+            if h == 3.0:
+                raise StepLimitError("step budget exhausted", h)
+            return evaluate_gamma_at(h, config)
+
+        monkeypatch.setattr(sys.modules["itmflow.scan"], "evaluate_gamma_at", failing_at_3)
+        report = scan(ScanGrid(2.5, 3.5, 5), -1)
+        assert [s.failed for s in report.samples] == [False, False, True, False, False]
+        assert report.brackets == [(2.75, 3.25)]
+        assert report.verdict == "inconclusive"
 
     def test_edge_touching_bracket_is_inconclusive(self):
         # the sign change sits on the very first grid interval
