@@ -12,9 +12,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
-from .ode import BACKEND, IntegrationError, StepControl
+from .ode import BACKEND, IntegrationError, StepControl, record
 from .scan import ScanGrid, export_scan, scan
 from .solver import (NEWTON, SECANT, ItmConfig, RootFinderBreakdownError,
                      TopferAgreementError, solve_blasius_topfer, solve_sakiadis)
@@ -33,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
+@record(frozen=False)
 class Report:
     """Everything one subcommand prints, for the table, CSV and JSON renderers.
 

@@ -24,8 +24,7 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 __all__ = [
     "BACKEND", "OdeSystem", "IvpSpec", "StepControl", "Trajectory",
@@ -41,6 +40,66 @@ BACKEND = "numpy"
 # Damping of the adaptive march's (tol/err)^(1/5) step-size update.
 _SAFETY = 0.9
 _INF = math.inf
+
+
+def _compile(source: str, filename: str, name: str):
+    """The function ``name`` that ``source`` defines, compiled under ``filename``.
+
+    The source is registered with :mod:`linecache` under that pseudo-filename,
+    so tracebacks and profiles show its lines.
+    """
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return namespace[name]
+
+
+def record(frozen: bool):
+    """A class decorator that writes a record's methods over the class's annotated fields.
+
+    What ``dataclass(frozen=frozen)`` writes, without its field metadata:
+    ``__init__`` takes the fields in order, a class attribute being a field's
+    default, then calls ``__post_init__`` if the class has one; ``__repr__``
+    reads ``QualName(field=value!r, ...)``; ``__eq__`` compares the field
+    tuples of two instances of one class; ``__match_args__`` names the fields.
+    A frozen record hashes its field tuple and refuses to set or delete an
+    attribute (``object.__setattr__`` still sets one); any other is
+    unhashable.  The methods of a class are compiled together, once, under
+    ``<itmflow.ode record QualName>``.
+    """
+    def build(cls):
+        annotations = cls.__dict__.get("__annotations__", {})
+        fields = tuple(annotations)
+        params = "".join(f", {f}=cls.{f}" if f in cls.__dict__ else f", {f}" for f in fields)
+        mine, theirs = ("(" + "".join(f"{who}.{f}, " for f in fields) + ")" for who in ("self", "other"))
+        values = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+        lines = [f"def __init__(self{params}):",
+                 *(f"    _set(self, {f!r}, {f})" for f in fields),
+                 "    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+                 "def __repr__(self):",
+                 f"    return self.__class__.__qualname__ + f'({values})'",
+                 "def __eq__(self, other):",
+                 f"    return {mine} == {theirs} if other.__class__ is self.__class__ else NotImplemented"]
+        if frozen:
+            lines += ["def __hash__(self):", f"    return hash({mine})",
+                      "def __setattr__(self, name, value):",
+                      "    raise AttributeError(f'cannot assign to field {name!r}')",
+                      "def __delattr__(self, name):",
+                      "    raise AttributeError(f'cannot delete field {name!r}')"]
+        names = [line[4:line.index("(")] for line in lines if line.startswith("def ")]
+        source = ("def methods(cls, _set):\n" + "".join(f"    {line}\n" for line in lines)
+                  + f"    return {', '.join(names)},\n")
+        methods = _compile(source, f"<itmflow.ode record {cls.__qualname__}>", "methods")
+        for name, method in zip(names, methods(cls, object.__setattr__)):
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+        cls.__init__.__annotations__ = {**annotations, "return": None}
+        cls.__match_args__ = fields
+        if not frozen:
+            cls.__hash__ = None
+        return cls
+
+    return build
 
 
 class IntegrationError(RuntimeError):
@@ -63,7 +122,7 @@ class StepLimitError(IntegrationError):
     """The integration exceeded ``max_steps`` step attempts."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OdeSystem:
     """First-order system ``dy/deta = rhs(eta, y)`` of fixed dimension.
 
@@ -132,7 +191,7 @@ def _float_tuple(values) -> tuple:
     return tuple(map(float, entries))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IvpSpec:
     """An initial value problem on ``[start, end]``.
 
@@ -167,7 +226,7 @@ class IvpSpec:
             raise ValueError("initial state must be finite")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StepControl:
     """Adaptive integration policy.
 
@@ -424,18 +483,6 @@ def _march(dim: int, text=None):
     for _ in range(8):
         march(None, 0.0, 0.0, 0.0, zeros, zeros, 0.0, 0.0, 0.0, 0.0, 0, None)
     return march
-
-
-def _compile(source: str, filename: str, name: str):
-    """The function ``name`` that ``source`` defines, compiled under ``filename``.
-
-    The source is registered with :mod:`linecache` under that pseudo-filename,
-    so tracebacks and profiles show its lines.
-    """
-    namespace = {}
-    exec(compile(source, filename, "exec"), globals(), namespace)
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    return namespace[name]
 
 
 def _nonfinite_ratio(eta, errs, y_full, y_two):

@@ -9,9 +9,8 @@ certified degenerate (lam^2 <= 0) still counts as Gamma = +inf in brackets.
 
 import math
 import operator
-from dataclasses import dataclass
 
-from .ode import IntegrationError, StepControl
+from .ode import IntegrationError, StepControl, record
 from .solver import ItmConfig, evaluate_gamma_at
 from .transform import DegenerateFarFieldError
 
@@ -31,7 +30,7 @@ class ScanFailedError(IntegrationError):
     """Every grid point failed to produce a Gamma value."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScanGrid:
     """Strictly increasing grid of positive h* values."""
 
@@ -73,7 +72,7 @@ class ScanGrid:
         return head + [h_max]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScanSample:
     """One probe; ``gamma`` and ``lam`` are NaN when ``failed``."""
 
@@ -83,8 +82,10 @@ class ScanSample:
     failed: bool
 
 
-@dataclass
+@record(frozen=False)
 class ScanReport:
+    """A scan's samples in grid order, the (lo, hi) brackets of its sign changes and its verdict."""
+
     samples: list[ScanSample]
     brackets: list[tuple[float, float]]
     verdict: str

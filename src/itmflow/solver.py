@@ -9,11 +9,10 @@ solve plus a far-field agreement check across truncated boundaries.
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
 
 from .models import (AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, VALID_SIGNS,
                      augmented_ic, blasius_star_ic, sakiadis_star_ic)
-from .ode import IvpSpec, StepControl, Trajectory, integrate_adaptive
+from .ode import IvpSpec, StepControl, Trajectory, integrate_adaptive, record
 from .transform import DegenerateFarFieldError, GammaEvaluation, rescale_trajectory, topfer_reduce
 
 __all__ = [
@@ -41,7 +40,7 @@ class TopferAgreementError(RuntimeError):
         self.lambda_checks = list(lambda_checks)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ItmConfig:
     """Configuration for the iterative transformation method.
 
@@ -58,7 +57,7 @@ class ItmConfig:
     eta_inf_star: float = 10.0
     gamma_tol: float = 1e-9
     max_iterations: int = 50
-    step_control: StepControl = field(default_factory=StepControl)
+    step_control: StepControl = StepControl()  # immutable, so one instance serves every config
 
     def __post_init__(self):
         if self.root_finder not in (SECANT, NEWTON):
@@ -88,7 +87,7 @@ class ItmConfig:
             raise ValueError("max_iterations must be positive")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ItmIterate:
     """One root-finder row: iterate index, h*, group parameter, Gamma, rescaled f''(0).
 
@@ -103,7 +102,7 @@ class ItmIterate:
     wall_shear: float
 
 
-@dataclass
+@record(frozen=False)
 class ItmResult:
     """Outcome of an ITM solve; final fields are ``None`` when not converged."""
 
@@ -119,7 +118,7 @@ class ItmResult:
         return len(self.iterates)
 
 
-@dataclass
+@record(frozen=False)
 class TopferResult:
     """Topfer reduction outcome: per-boundary parameters and the accepted values."""
 
@@ -154,7 +153,7 @@ def _evaluate(h_star, sign, eta_inf_star, control, with_derivative):
                     f"f' + sqrt(h*) = {y[1] + root:.6g} is not positive at eta = {eta:.6g}; "
                     "lam^2 <= 0 at the truncated boundary", eta)
 
-        control = replace(control, stop=certify)
+        control = StepControl(**{**vars(control), "stop": certify})
     traj = integrate_adaptive(IvpSpec(0.0, eta_inf_star, initial, system), control)
     far = traj.final_state
     sensitivity = far[4] if with_derivative else None

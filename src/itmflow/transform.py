@@ -7,9 +7,8 @@ field, and the transformation function ``Gamma(h*) = h* / lam^4 - 1`` marks
 """
 
 import math
-from dataclasses import dataclass
 
-from .ode import IntegrationError, Trajectory
+from .ode import IntegrationError, Trajectory, record
 
 __all__ = [
     "DegenerateFarFieldError", "GammaEvaluation", "rescale_trajectory", "topfer_reduce",
@@ -25,7 +24,7 @@ class DegenerateFarFieldError(IntegrationError):
     """
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GammaEvaluation:
     """One evaluation of the transformation function at ``h_star``.
 

@@ -337,13 +337,16 @@ sys.exit(status)
 
 
 # The command lines of perfbench's cli workload, with their golden file if one exists.
-@pytest.mark.parametrize("argv, golden", [
+BENCHMARK_COMMANDS = [
     (("sakiadis",), "sakiadis.table"),
     (("sakiadis", "--root-finder", "newton", "--format", "json"), "sakiadis-newton.json"),
     (("blasius", "--format", "csv"), "blasius.csv"),
     (("compare", "--format", "json"), "compare.json"),
     (("scan", "--count", "10", "--format", "csv"), None),
-])
+]
+
+
+@pytest.mark.parametrize("argv, golden", BENCHMARK_COMMANDS)
 def test_command_line_runs_without_numpy(capsys, fresh_python, argv, golden):
     child = fresh_python(_CHILD, *argv)
     assert (child.returncode, child.stderr) == (0, "numpy loaded: False\n")
@@ -351,6 +354,23 @@ def test_command_line_runs_without_numpy(capsys, fresh_python, argv, golden):
     assert child.stdout == run_cli(capsys, *argv)[1]
     if golden is not None:
         assert child.stdout.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+# The records are not dataclasses, so a command line imports neither
+# dataclasses nor the inspect module that it imports.
+_MODULES_CHILD = """
+import sys
+from itmflow.cli import main
+status = main(sys.argv[1:])
+print("loaded:", sorted({"dataclasses", "inspect"} & set(sys.modules)), file=sys.stderr)
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in BENCHMARK_COMMANDS])
+def test_command_line_imports_no_dataclasses_or_inspect(fresh_python, argv):
+    child = fresh_python(_MODULES_CHILD, *argv)
+    assert (child.returncode, child.stderr) == (0, "loaded: []\n")
 
 
 def test_logarithmic_scan_loads_numpy(capsys, fresh_python):

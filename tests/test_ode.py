@@ -1,6 +1,5 @@
 """Integrator tests: the adaptive RK4 march, free and pinned to a uniform step."""
 
-import dataclasses
 import functools
 import math
 import re
@@ -456,7 +455,7 @@ class TestInlinedRhs:
             for control in controls:
                 for ic, system, root in starts:
                     stop = None if root is None else self._certify(root)
-                    yield ic, system, dataclasses.replace(control, stop=stop)
+                    yield ic, system, StepControl(**{**vars(control), "stop": stop})
 
     def test_pool_matches_the_called_rhs(self):
         kinds = set()
