@@ -58,11 +58,6 @@ def _fmt_gamma(value) -> str:
     return f"{value:12.6f}" if abs(value) >= 1e-3 else f"{value:12.3e}"
 
 
-def _or_null(value):
-    """``value``, or ``None`` (JSON null) for the inf and NaN of a certified probe."""
-    return value if math.isfinite(value) else None
-
-
 def _parse_checks(text: str) -> tuple[float, ...]:
     try:
         checks = tuple(float(part) for part in text.split(",") if part.strip())
@@ -102,10 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="ETA_INF", help="truncated boundary (default 10)")
     sak.add_argument("--gamma-tol", type=float, default=1e-9,
                      help="convergence criterion on |Gamma| (default 1e-9)")
+    _add_common(sak)
     sak.add_argument("--max-iterations", type=int, default=50,
                      help="Gamma evaluation budget (default 50; secant always "
                           "evaluates both seeds)")
-    _add_common(sak)
 
     bla = subs.add_parser("blasius", help="static-plate flow via Topfer's "
                           "non-iterative rescaling")
@@ -134,10 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args, *names) -> dict:
-    """The JSON ``config`` block: the subcommand, then the named flags."""
-    return {"subcommand": args.subcommand,
-            **{name: getattr(args, name) for name in names}}
+def _config(args) -> dict:
+    """The JSON ``config`` block: the subcommand, then every flag but the output ones."""
+    return {name: value for name, value in vars(args).items()
+            if name not in ("format", "output", "verbose")}
 
 
 def _step_control(args) -> StepControl:
@@ -171,10 +166,9 @@ def cmd_sakiadis(args) -> Report:
     else:
         table.append(f"not converged after {result.gamma_evaluations} Gamma evaluations")
     return Report(
-        config=_config(args, "root_finder", "h0", "h1", "sign", "eta_inf_star",
-                       "gamma_tol", "abs_tol", "rel_tol", "max_iterations"),
-        iterates=[{"j": it.j, "h_star": it.h_star, "lambda": _or_null(it.lam),
-                   "gamma": _or_null(it.gamma), "wall_shear": _or_null(it.wall_shear)}
+        config=_config(args),
+        iterates=[{"j": it.j, "h_star": it.h_star, "lambda": it.lam,
+                   "gamma": it.gamma, "wall_shear": it.wall_shear}
                   for it in result.iterates],
         final={"converged": result.converged, "h_star": result.final_h_star,
                "lambda": result.final_lambda, "wall_shear": result.final_wall_shear,
@@ -200,7 +194,7 @@ def cmd_blasius(args) -> Report:
                  f"lambda = {result.accepted_lambda:.6f}  "
                  f"f''(0) = {result.wall_shear:.6f}")
     return Report(
-        config=_config(args, "eta_checks", "agreement_tol", "abs_tol", "rel_tol"),
+        config=_config(args),
         iterates=[{"eta_star": eta, "lambda": lam}
                   for eta, lam in result.lambda_checks],
         final={"accepted_eta_star": result.accepted_eta,
@@ -225,12 +219,8 @@ def cmd_scan(args) -> Report:
     table.append(f"verdict: {report.verdict}")
     failed = sum(s.failed for s in report.samples)
     return Report(
-        config=_config(args, "sign", "h_min", "h_max", "count", "spacing",
-                       "eta_inf_star", "abs_tol", "rel_tol"),
-        iterates=[{"h_star": s.h_star,
-                   "gamma": None if s.failed else s.gamma,
-                   "lambda": None if s.failed else s.lam,
-                   "failed": s.failed}
+        config=_config(args),
+        iterates=[{"h_star": s.h_star, "gamma": s.gamma, "lambda": s.lam, "failed": s.failed}
                   for s in report.samples],
         final={"brackets": report.brackets},
         verdict=report.verdict,
@@ -254,7 +244,7 @@ def cmd_compare(args) -> Report:
     blasius, sakiadis = topfer.wall_shear, itm.final_wall_shear
     increase = _increase_percent(blasius, sakiadis)
     return Report(
-        config=_config(args, "abs_tol", "rel_tol"),
+        config=_config(args),
         iterates=[],
         final={"blasius_wall_shear": blasius, "sakiadis_wall_shear": sakiadis,
                "increase_percent": increase},
@@ -273,9 +263,12 @@ _HANDLERS = {"sakiadis": cmd_sakiadis, "blasius": cmd_blasius, "scan": cmd_scan,
 
 
 def _rounded(value):
-    """JSON value with every float cut to the 12 significant digits of the CSV."""
+    """JSON value with every float cut to the 12 significant digits of the CSV.
+
+    JSON has no inf or NaN: a non-finite float becomes ``None`` (null).
+    """
     if isinstance(value, float):
-        return float(_fmt(value))
+        return float(_fmt(value)) if math.isfinite(value) else None
     if isinstance(value, dict):
         return {key: _rounded(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):

@@ -102,6 +102,22 @@ def record(frozen: bool):
     return build
 
 
+def check_positive(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a positive, finite number."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer of at least ``least``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be " + ("positive" if least == 1 else f"at least {least}"))
+
+
 class IntegrationError(RuntimeError):
     """Base class for integration failures; ``eta`` locates the failure."""
 
@@ -134,12 +150,7 @@ class OdeSystem:
     dim: int
 
     def __post_init__(self):
-        try:
-            operator.index(self.dim)
-        except TypeError:
-            raise ValueError(f"system dimension must be an integer, got {self.dim!r}") from None
-        if self.dim < 1:
-            raise ValueError("system dimension must be positive")
+        check_count("system dimension", self.dim)
 
     def __reduce_ex__(self, protocol):
         # The rhs of a system written as text has no import path: such a
@@ -247,22 +258,14 @@ class StepControl:
 
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol", "initial_step", "min_step"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite")
+            check_positive(name, getattr(self, name))
         if self.min_step > self.initial_step:
             raise ValueError("min_step must not exceed initial_step")
         if self.max_step is not None:
-            if not (self.max_step > 0 and math.isfinite(self.max_step)):
-                raise ValueError("max_step must be positive and finite")
+            check_positive("max_step", self.max_step)
             if self.min_step > self.max_step:
                 raise ValueError("min_step must not exceed max_step")
-        try:
-            operator.index(self.max_steps)
-        except TypeError:
-            raise ValueError(f"max_steps must be an integer, got {self.max_steps!r}") from None
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
+        check_count("max_steps", self.max_steps)
         if not (self.stop is None or callable(self.stop)):
             raise ValueError(f"stop must be callable or None, got {self.stop!r}")
 

@@ -8,9 +8,8 @@ certified degenerate (lam^2 <= 0) still counts as Gamma = +inf in brackets.
 """
 
 import math
-import operator
 
-from .ode import IntegrationError, StepControl, record
+from .ode import IntegrationError, StepControl, check_count, check_positive, record
 from .solver import ItmConfig, evaluate_gamma_at
 from .transform import DegenerateFarFieldError
 
@@ -32,7 +31,10 @@ class ScanFailedError(IntegrationError):
 
 @record(frozen=True)
 class ScanGrid:
-    """Strictly increasing grid of positive h* values."""
+    """Non-decreasing grid of positive h* values.
+
+    A span of a few ulps repeats points, as ``np.linspace`` does.
+    """
 
     h_min: float
     h_max: float
@@ -40,16 +42,10 @@ class ScanGrid:
     spacing: str = "linear"
 
     def __post_init__(self):
-        if not (self.h_min > 0 and math.isfinite(self.h_min)):
-            raise ValueError(f"h_min must be positive and finite, got {self.h_min}")
+        check_positive("h_min", self.h_min)
         if not (self.h_max > self.h_min and math.isfinite(self.h_max)):
             raise ValueError("h_max must be finite and exceed h_min")
-        try:
-            operator.index(self.count)
-        except TypeError:
-            raise ValueError(f"count must be an integer, got {self.count!r}") from None
-        if self.count < 2:
-            raise ValueError("count must be at least 2")
+        check_count("count", self.count, least=2)
         if self.spacing not in ("linear", "logarithmic"):
             raise ValueError(f"spacing must be 'linear' or 'logarithmic', got {self.spacing!r}")
 

@@ -8,11 +8,11 @@ solve plus a far-field agreement check across truncated boundaries.
 """
 
 import math
-import operator
 
 from .models import (AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, VALID_SIGNS,
                      augmented_ic, blasius_star_ic, sakiadis_star_ic)
-from .ode import IvpSpec, StepControl, Trajectory, integrate_adaptive, record
+from .ode import (IvpSpec, StepControl, Trajectory, check_count, check_positive,
+                  integrate_adaptive, record)
 from .transform import DegenerateFarFieldError, GammaEvaluation, rescale_trajectory, topfer_reduce
 
 __all__ = [
@@ -62,29 +62,20 @@ class ItmConfig:
     def __post_init__(self):
         if self.root_finder not in (SECANT, NEWTON):
             raise ValueError(f"root_finder must be {SECANT!r} or {NEWTON!r}, got {self.root_finder!r}")
-        if not (self.h0 > 0 and math.isfinite(self.h0)):
-            raise ValueError(f"h0 must be positive and finite, got {self.h0}")
+        check_positive("h0", self.h0)
         if self.sign not in VALID_SIGNS:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if self.root_finder == SECANT:
             if self.h1 is None:
                 raise ValueError("secant mode needs a second seed h1")
-            if not (self.h1 > 0 and math.isfinite(self.h1)):
-                raise ValueError(f"h1 must be positive and finite, got {self.h1}")
+            check_positive("h1", self.h1)
             if self.h1 == self.h0:
                 raise ValueError("secant seeds h0 and h1 must differ")
         if self.root_finder == NEWTON and self.sign != -1:
             raise ValueError("newton mode requires sign = -1 (no zero exists on the +1 branch)")
-        if not (self.eta_inf_star > 0 and math.isfinite(self.eta_inf_star)):
-            raise ValueError(f"eta_inf_star must be positive and finite, got {self.eta_inf_star}")
-        if not (self.gamma_tol > 0 and math.isfinite(self.gamma_tol)):
-            raise ValueError(f"gamma_tol must be positive and finite, got {self.gamma_tol}")
-        try:
-            operator.index(self.max_iterations)
-        except TypeError:
-            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}") from None
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        check_positive("eta_inf_star", self.eta_inf_star)
+        check_positive("gamma_tol", self.gamma_tol)
+        check_count("max_iterations", self.max_iterations)
 
 
 @record(frozen=True)

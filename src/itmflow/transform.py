@@ -8,7 +8,7 @@ field, and the transformation function ``Gamma(h*) = h* / lam^4 - 1`` marks
 
 import math
 
-from .ode import IntegrationError, Trajectory, record
+from .ode import IntegrationError, Trajectory, check_positive, record
 
 __all__ = [
     "DegenerateFarFieldError", "GammaEvaluation", "rescale_trajectory", "topfer_reduce",
@@ -71,8 +71,7 @@ def rescale_trajectory(lam: float, star_traj: Trajectory) -> Trajectory:
     ``(lam eta*, f*/lam, f*'/lam^2, f*''/lam^3)``: one correctly rounded
     product per entry, as the ndarray broadcast gives.
     """
-    if not (lam > 0 and math.isfinite(lam)):
-        raise ValueError(f"group parameter must be positive and finite, got {lam}")
+    check_positive("group parameter", lam)
     if star_traj.dim != 3:
         raise ValueError(f"rescaling expects a 3-component trajectory, got dim {star_traj.dim}")
     s1, s2, s3 = lam ** -1, lam ** -2, lam ** -3
@@ -88,8 +87,7 @@ def topfer_reduce(far_slope: float) -> tuple[float, float]:
     curvature).  Raises ``ValueError`` unless the far slope is positive,
     finite and above about 3.14e-206, below which ``far_slope**-1.5`` overflows.
     """
-    if not (far_slope > 0 and math.isfinite(far_slope)):
-        raise ValueError(f"far slope must be positive and finite, got {far_slope}")
+    check_positive("far slope", far_slope)
     try:
         return far_slope ** -0.5, far_slope ** -1.5
     except OverflowError:

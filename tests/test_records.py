@@ -1,14 +1,15 @@
-"""The package's records: their fields, repr, equality, hashing, immutability and copies."""
+"""The package's records: their fields, repr, equality, hashing, immutability, copies and checks."""
 
 import copy
 import inspect
 import math
 import pickle
+import re
 
 import pytest
 
 from itmflow import (SIMILARITY_SYSTEM, GammaEvaluation, ItmConfig, ItmIterate, ItmResult,
-                     IvpSpec, ScanGrid, ScanReport, ScanSample, StepControl, TopferResult)
+                     IvpSpec, OdeSystem, ScanGrid, ScanReport, ScanSample, StepControl, TopferResult)
 from itmflow.cli import Report
 
 STEP_CONTROL_REPR = ("StepControl(abs_tol=1e-06, rel_tol=1e-06, initial_step=0.01, "
@@ -103,3 +104,32 @@ def test_pickle_and_deepcopy_round_trip(record):
         assert type(copied) is type(record)
         assert copied == record and hash(copied) == hash(record)
         assert repr(copied) == repr(record)
+
+
+# One bad value for each argument check, with the full message it must raise.
+CHECKS = [
+    (lambda: OdeSystem(SIMILARITY_SYSTEM.rhs, 0), "system dimension must be positive"),
+    (lambda: OdeSystem(SIMILARITY_SYSTEM.rhs, 1.5), "system dimension must be an integer, got 1.5"),
+    (lambda: StepControl(abs_tol=0.0), "abs_tol must be positive and finite, got 0.0"),
+    (lambda: StepControl(rel_tol=math.nan), "rel_tol must be positive and finite, got nan"),
+    (lambda: StepControl(initial_step=-1.0), "initial_step must be positive and finite, got -1.0"),
+    (lambda: StepControl(min_step=math.inf), "min_step must be positive and finite, got inf"),
+    (lambda: StepControl(max_step=math.inf), "max_step must be positive and finite, got inf"),
+    (lambda: StepControl(max_steps=0), "max_steps must be positive"),
+    (lambda: StepControl(max_steps=2.5), "max_steps must be an integer, got 2.5"),
+    (lambda: ItmConfig(h0=0.0), "h0 must be positive and finite, got 0.0"),
+    (lambda: ItmConfig(h1=math.nan), "h1 must be positive and finite, got nan"),
+    (lambda: ItmConfig(eta_inf_star=-1.0), "eta_inf_star must be positive and finite, got -1.0"),
+    (lambda: ItmConfig(gamma_tol=math.inf), "gamma_tol must be positive and finite, got inf"),
+    (lambda: ItmConfig(max_iterations=0), "max_iterations must be positive"),
+    (lambda: ItmConfig(max_iterations=2.5), "max_iterations must be an integer, got 2.5"),
+    (lambda: ScanGrid(0.0, 1.0, 4), "h_min must be positive and finite, got 0.0"),
+    (lambda: ScanGrid(0.5, 1.0, 1), "count must be at least 2"),
+    (lambda: ScanGrid(0.5, 1.0, "4"), "count must be an integer, got '4'"),
+]
+
+
+@pytest.mark.parametrize("build, message", CHECKS, ids=[message for _, message in CHECKS])
+def test_checks_give_their_full_message(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -40,7 +40,8 @@ class TestGrid:
     def test_linear_points_are_np_linspace_bit_for_bit(self):
         rng = random.Random(5)
         cases = [(5e-324, 2e-323, 8),  # subnormal span: numpy's step == 0 branch
-                 (1, 3, 5), (0.5, 20.0, 40), (1e-300, 1.7e308, 1000)]
+                 (1, 3, 5), (0.5, 20.0, 40), (1e-300, 1.7e308, 1000),
+                 (1, 1.0000000000000002, 3)]  # a span of one ulp repeats a point
         assert (2e-323 - 5e-324) / 7 == 0.0
         for _ in range(3000):
             h_min = rng.uniform(0.5, 1.0) * 10.0 ** rng.randint(-12, 12)
