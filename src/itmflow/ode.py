@@ -12,9 +12,9 @@ attempts unrolled, is one function generated and compiled once per system
 dimension, with no loop over the components.  A system written as text
 (``OdeSystem._from_text``, as the package's own models are) gets a march of
 its own that computes the rhs expressions in place of each call, with no
-call and no list; any other system's march calls its ``rhs``.  This module
-does not import numpy: a :class:`Trajectory` builds its ndarrays only when a
-caller reads them.
+call and no list; any other system's march calls its ``rhs``.  itmflow does
+not install numpy and no module of it imports numpy: only reading a
+:class:`Trajectory`'s ``etas`` or ``states`` does.
 """
 
 import contextlib
@@ -284,8 +284,8 @@ class Trajectory:
     states : ndarray, shape (n, dim)
         State at each sample.
 
-    Both arrays are built from the samples, importing numpy, on first
-    access, then cached read-only.
+    Both arrays are built from the samples on first access, then cached
+    read-only.  They need numpy, which itmflow does not install.
     """
 
     __slots__ = ("_rows", "_etas", "_states")

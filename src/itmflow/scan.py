@@ -31,7 +31,7 @@ class ScanFailedError(IntegrationError):
 
 @record(frozen=True)
 class ScanGrid:
-    """Non-decreasing grid of positive h* values.
+    """Non-decreasing grid of positive h* values from exactly ``h_min`` to ``h_max``.
 
     A span of a few ulps repeats points, as ``np.linspace`` does.
     """
@@ -51,21 +51,21 @@ class ScanGrid:
 
     def points(self) -> list[float]:
         h_min, h_max = float(self.h_min), float(self.h_max)
-        if self.spacing == "logarithmic":
-            # numpy's log10 and power may differ from libm's in the last bit.
-            import numpy as np
-
-            return np.geomspace(h_min, h_max, self.count).tolist()
-        # np.linspace's arithmetic, bit for bit: h_min + i * step with the last
-        # point set to h_max, and (i / div) * delta when the step underflows.
+        log = self.spacing == "logarithmic"
+        lo, hi = (math.log10(h_min), math.log10(h_max)) if log else (h_min, h_max)
+        # np.linspace's arithmetic, bit for bit, on h* or on log10(h*): lo + i * step,
+        # and (i / div) * delta when the step underflows.
         div = self.count - 1
-        delta = h_max - h_min
+        delta = hi - lo
         step = delta / div
         if step == 0.0:
-            head = [h_min + i / div * delta for i in range(div)]
+            inner = [lo + i / div * delta for i in range(1, div)]
         else:
-            head = [h_min + i * step for i in range(div)]
-        return head + [h_max]
+            inner = [lo + i * step for i in range(1, div)]
+        if log:
+            # 10.0 ** y may round past an end, and 10.0 ** hi may overflow.
+            inner = [min(max(10.0 ** y, h_min), h_max) if y < hi else h_max for y in inner]
+        return [h_min, *inner, h_max]
 
 
 @record(frozen=True)

@@ -35,7 +35,32 @@ class TestGrid:
         pts = np.array(ScanGrid(0.5, 8.0, 7, spacing="logarithmic").points())
         assert np.all(pts > 0)
         assert np.all(np.diff(pts) > 0)
-        assert pts[0] == pytest.approx(0.5) and pts[-1] == pytest.approx(8.0)
+        assert pts[0] == 0.5 and pts[-1] == 8.0
+
+    def test_log_points_stay_between_exact_ends(self):
+        rng = random.Random(5)  # the random spans of the linear test below
+        spans = []
+        for _ in range(3000):
+            h_min = rng.uniform(0.5, 1.0) * 10.0 ** rng.randint(-12, 12)
+            h_max = h_min + rng.uniform(0.0, 1.0) * 10.0 ** rng.randint(-16, 14)
+            if h_max > h_min:
+                spans.append((h_min, h_max, rng.randint(2, 300)))
+        assert len(spans) > 2000
+        # 10.0 ** y rounds below h_min on the first of these (np.geomspace too),
+        # and overflows at the upper end of the last.
+        edges = [(6.189823135459457e+256, 6.189823135460264e+256, 9),
+                 (1, 1.0000000000000002, 3), (5e-324, 2e-323, 8),
+                 (1.7976931348623155e+308, 1.7976931348623157e+308, 3)]
+        for i, (h_min, h_max, count) in enumerate(edges + spans):
+            points = ScanGrid(h_min, h_max, count, spacing="logarithmic").points()
+            assert len(points) == count and points[0] == h_min and points[-1] == h_max
+            assert all(type(h) is float for h in points)
+            assert all(a <= b for a, b in zip(points, points[1:])), (h_min, h_max, count)
+            if i >= len(edges):
+                # numpy's log10 and power may each differ from libm's by an ulp.  With
+                # |log10(h*)| < 27 an ulp of it moves h* by at most 8.2e-15 relative.
+                reference = np.geomspace(h_min, h_max, count)
+                assert np.allclose(points, reference, rtol=4e-14, atol=0.0), (h_min, h_max, count)
 
     def test_linear_points_are_np_linspace_bit_for_bit(self):
         rng = random.Random(5)
