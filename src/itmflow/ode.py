@@ -6,24 +6,24 @@ half steps, Richardson-extrapolated acceptance).
 ``rhs(eta, y)`` receives a fresh list of ``dim`` Python floats, must return
 exactly ``dim`` floats on every call (a sequence or a 1-D ndarray) and must
 not modify its argument; a rhs written with numpy expressions (``y ** 2``)
-must call ``np.asarray(y)`` itself.  The march stays on Python floats, which
-on a few elements cost far less than numpy: the whole march, its step
-attempts unrolled, is one function generated and compiled once per system
-dimension, with no loop over the components.  A system written as text
-(``OdeSystem._from_text``, as the package's own models are) gets a march of
-its own that computes the rhs expressions in place of each call, with no
-call and no list; any other system's march calls its ``rhs``.  itmflow does
-not install numpy and no module of it imports numpy: only reading a
-:class:`Trajectory`'s ``etas`` or ``states`` does.
+must call ``np.asarray(y)`` itself.  itmflow leaves numpy's error state to
+the caller, so the numpy scalars of an ndarray result warn as numpy does.
+The march stays on Python floats, which on a few elements cost far less
+than numpy: the whole march, its step attempts unrolled, is one function
+generated and compiled once per system dimension, with no loop over the
+components.  A system written as text (``OdeSystem._from_text``, as the
+package's own models are) gets a march of its own that computes the rhs
+expressions in place of each call, with no call and no list; any other
+system's march calls its ``rhs``.  itmflow does not install numpy and no
+module of it imports numpy: only reading a :class:`Trajectory`'s ``etas``
+or ``states`` does.
 """
 
-import contextlib
 import functools
 import linecache
 import math
 import operator
 import re
-import sys
 from collections.abc import Callable, Sequence
 
 __all__ = [
@@ -366,7 +366,7 @@ class Trajectory:
 _MARCH = """\
 def march(rhs, eta, end, h, y, k, abs_tol, rel_tol, min_step, max_step, max_steps, stop):
     `y@`, = y
-    `k@`, = k
+    r = `k@`, = k
     rows = [(eta, `y@`)]
     attempts = 0
     try:
@@ -381,25 +381,25 @@ def march(rhs, eta, end, h, y, k, abs_tol, rel_tol, min_step, max_step, max_step
             # the full step
             hh = 0.5 * h
             mid = eta + hh
-            `b@`, = rhs(mid, [`y@ + hh * k@`])
-            `c@`, = rhs(mid, [`y@ + hh * b@`])
-            `d@`, = rhs(eta + h, [`y@ + h * c@`])
+            r = `b@`, = rhs(mid, [`y@ + hh * k@`])
+            r = `c@`, = rhs(mid, [`y@ + hh * b@`])
+            r = `d@`, = rhs(eta + h, [`y@ + h * c@`])
             s = h / 6.0
             `f@`, = `y@ + s * (k@ + 2.0 * b@ + 2.0 * c@ + d@)`,
             # the first half step
             q = 0.5 * hh
             m = eta + q
-            `b@`, = rhs(m, [`y@ + q * k@`])
-            `c@`, = rhs(m, [`y@ + q * b@`])
-            `d@`, = rhs(mid, [`y@ + hh * c@`])
+            r = `b@`, = rhs(m, [`y@ + q * k@`])
+            r = `c@`, = rhs(m, [`y@ + q * b@`])
+            r = `d@`, = rhs(mid, [`y@ + hh * c@`])
             s = hh / 6.0
             `u@`, = `y@ + s * (k@ + 2.0 * b@ + 2.0 * c@ + d@)`,
             # the second half step
-            `a@`, = rhs(mid, [`u@`])
+            r = `a@`, = rhs(mid, [`u@`])
             m = mid + q
-            `b@`, = rhs(m, [`u@ + q * a@`])
-            `c@`, = rhs(m, [`u@ + q * b@`])
-            `d@`, = rhs(mid + hh, [`u@ + hh * c@`])
+            r = `b@`, = rhs(m, [`u@ + q * a@`])
+            r = `c@`, = rhs(m, [`u@ + q * b@`])
+            r = `d@`, = rhs(mid + hh, [`u@ + hh * c@`])
             `t@`, = `u@ + s * (a@ + 2.0 * b@ + 2.0 * c@ + d@)`,
             `e@`, = `abs(t@ - f@) / (abs_tol + rel_tol * abs(y@))`,
             # A finite sum means finite t and f (a non-finite one gives an inf or NaN
@@ -412,7 +412,7 @@ def march(rhs, eta, end, h, y, k, abs_tol, rel_tol, min_step, max_step, max_step
                 eta = end if last else eta + h
                 `y@`, = `t@ + (t@ - f@) / 15.0`,
                 rows.append((eta, `y@`))
-                `k@`, = rhs(eta, [`y@`])
+                r = `k@`, = rhs(eta, [`y@`])
                 # x - x is 0.0 for a finite x and NaN otherwise; it cannot overflow.
                 if ` + |(y@ - y@) + (k@ - k@)` != 0.0:
                     raise _blow_up(eta)
@@ -429,9 +429,9 @@ def march(rhs, eta, end, h, y, k, abs_tol, rel_tol, min_step, max_step, max_step
                     raise StepUnderflowError(
                         f"required step fell below min_step near eta = {eta:.6g}", eta)
     except ValueError as exc:
-        # A result of the wrong length fails to unpack in this frame; a
-        # ValueError raised by rhs itself, compiled or not, passes on.
-        if not _unpack_failed(exc):
+        # r is the newest rhs result, bound before it is unpacked: one of the
+        # system's length means the rhs or stop raised, and that passes on.
+        if hasattr(r, "__len__") and len(r) == len(y):
             raise
         raise ValueError(f"rhs returned a result of another length near eta = {eta:.6g}, "
                          f"system dimension is {len(y)}") from exc
@@ -439,9 +439,9 @@ def march(rhs, eta, end, h, y, k, abs_tol, rel_tol, min_step, max_step, max_step
 """
 
 
-# A rhs call of the march: `X@`, = rhs(at, [`S`]) hands the rhs a fresh list
-# of the stage values S.
-_STAGE = re.compile(r"^( *)`(\w)@`, = rhs\([^\n\[]*\[`([^`]*)`\]\)$", re.M)
+# A rhs call of the march: r = `X@`, = rhs(at, [`S`]) hands the rhs a fresh
+# list of the stage values S and keeps its result in r; _inline drops the r.
+_STAGE = re.compile(r"^( *)r = `(\w)@`, = rhs\([^\n\[]*\[`([^`]*)`\]\)$", re.M)
 
 
 def _inline(source: str, text) -> str:
@@ -503,19 +503,6 @@ def _nonfinite_ratio(eta, errs, y_full, y_two):
     return max(errs)
 
 
-def _unpack_failed(exc: ValueError) -> bool:
-    """Whether ``exc`` was raised by a tuple unpacking in the frame that caught it.
-
-    The caught traceback's last instruction tells an unpacking apart from a
-    call, also of a rhs that adds no Python frame (a builtin, a ufunc,
-    compiled code).
-    """
-    from opcode import opmap
-
-    tb = exc.__traceback__
-    return tb.tb_frame.f_code.co_code[tb.tb_lasti] == opmap["UNPACK_SEQUENCE"]
-
-
 def _shape(values) -> tuple:
     """The shape of a rhs result, as ``np.shape`` gives it up to two dimensions.
 
@@ -560,20 +547,14 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
     control = StepControl() if control is None else control
     rhs, start, end, y = spec.system.rhs, spec.start, spec.end, spec.initial_state
     max_step = (end - start) / 4.0 if control.max_step is None else control.max_step
-    # A rhs may return an ndarray, whose numpy scalars must overflow silently.
-    # It can only do so once numpy is loaded.
-    np = sys.modules.get("numpy")
-    errstate = (contextlib.nullcontext() if np is None
-                else np.errstate(over="ignore", invalid="ignore", under="ignore"))
-    with errstate:
-        k = rhs(start, list(y))
-        shape = _shape(k)
-        if shape != (len(y),):
-            raise ValueError(f"rhs returned shape {shape}, system dimension is {len(y)}")
-        if not _finite(k):
-            raise _blow_up(start)
-        march = _march(len(y), getattr(spec.system, "_text", None))
-        rows = march(rhs, start, end, min(control.initial_step, end - start, max_step), y, k,
-                     control.abs_tol, control.rel_tol, control.min_step, max_step,
-                     control.max_steps, control.stop)
-        return Trajectory._from_rows(rows)
+    k = rhs(start, list(y))
+    shape = _shape(k)
+    if shape != (len(y),):
+        raise ValueError(f"rhs returned shape {shape}, system dimension is {len(y)}")
+    if not _finite(k):
+        raise _blow_up(start)
+    march = _march(len(y), getattr(spec.system, "_text", None))
+    rows = march(rhs, start, end, min(control.initial_step, end - start, max_step), y, k,
+                 control.abs_tol, control.rel_tol, control.min_step, max_step,
+                 control.max_steps, control.stop)
+    return Trajectory._from_rows(rows)

@@ -199,11 +199,20 @@ class TestIntegrateAdaptive:
 
         spec = IvpSpec(0.0, 20.0, np.array([1.0, 10.0]), OdeSystem(wild, 2))
         control = StepControl(rel_tol=1e308, initial_step=5.0, max_step=5.0)
-        with pytest.raises(IntegrationError) as err:
+        # numpy scalars warn of the overflow and the invalid value on the way.
+        with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError) as err:
             integrate_adaptive(spec, control)
         assert type(err.value) is IntegrationError
         assert str(err.value) == ("error estimate is not a number near eta = 0: "
                                   "abs_tol + rel_tol*|y| overflowed")
+        assert err.value.eta == 0.0
+
+    def test_numpy_warnings_reach_the_caller(self):
+        # itmflow leaves numpy's error state alone: an ndarray rhs warns as numpy does.
+        spec = IvpSpec(0.0, 3.0, [1e200], OdeSystem(lambda eta, y: np.array(y) ** 2, 1))
+        with pytest.warns(RuntimeWarning, match="overflow encountered in square"), \
+                pytest.raises(BlowUpError) as err:
+            integrate_adaptive(spec)
         assert err.value.eta == 0.0
 
     def test_finite_time_singularity_reports_location(self):
@@ -276,6 +285,16 @@ class TestTerminalEvent:
                                StepControl(stop=stop))
         # the first accepted sample past eta = ln 2
         assert math.log(2.0) <= err.value.eta < 1.0
+
+    @pytest.mark.parametrize("system", [SIMILARITY_SYSTEM, OdeSystem(SIMILARITY_SYSTEM.rhs, 3)],
+                             ids=["inlined", "called"])
+    def test_stop_value_error_propagates_unchanged(self, system):
+        def stop(eta, y):
+            raise ValueError("stop failed")
+
+        with pytest.raises(ValueError, match="^stop failed$"):
+            integrate_adaptive(IvpSpec(0.0, 1.0, sakiadis_star_ic(2.5), system),
+                               StepControl(stop=stop))
 
     @pytest.mark.parametrize("stop", [1.0, "stop"])
     def test_stop_must_be_callable(self, stop):
@@ -411,7 +430,7 @@ class TestRhsContract:
         frames = [frame for frame in traceback.extract_tb(err.value.__traceback__)
                   if frame.filename == "<itmflow.ode march dim=3>"]
         assert len(frames) == 1
-        assert frames[0].line.startswith("c0, c1, c2, = rhs(mid, [y0 + hh * b0,")
+        assert frames[0].line.startswith("r = c0, c1, c2, = rhs(mid, [y0 + hh * b0,")
 
     def test_ndarray_rhs_still_integrates(self):
         # numpy scalars in place of floats: the same arithmetic, bit for bit
