@@ -13,7 +13,7 @@ import json
 import math
 import sys
 
-from .ode import BACKEND, IntegrationError, StepControl, record
+from .ode import BACKEND, IntegrationError, Record, StepControl
 from .scan import ScanGrid, export_scan, scan
 from .solver import (NEWTON, SECANT, ItmConfig, RootFinderBreakdownError,
                      TopferAgreementError, solve_blasius_topfer, solve_sakiadis)
@@ -32,12 +32,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@record(frozen=False)
-class Report:
+class Report(Record):
     """Everything one subcommand prints, for the table, CSV and JSON renderers.
 
     The four JSON blocks, the table lines, the CSV text (``None``: no
-    trajectory to export), the ``--verbose`` stderr line and the exit status.
+    trajectory to export) and the ``--verbose`` stderr line.  The exit status
+    is 2 when the verdict is ``not_converged``, else 0.
     """
 
     config: dict
@@ -47,7 +47,6 @@ class Report:
     table: list[str]
     csv: str | None
     verbose: str
-    status: int = 0
 
 
 def _fmt(value) -> str:
@@ -178,7 +177,6 @@ def cmd_sakiadis(args) -> Report:
         csv=_trajectory_csv(result.rescaled_solution) if result.converged else None,
         verbose=f"backend={BACKEND} root_finder={args.root_finder} "
                 f"gamma_evaluations={result.gamma_evaluations}",
-        status=0 if result.converged else 2,
     )
 
 
@@ -302,7 +300,8 @@ def main(argv=None) -> int:
         report = _HANDLERS[args.subcommand](args)
         if args.verbose:
             print(f"itmflow: {report.verbose}", file=sys.stderr)
-        status, text = report.status, _RENDERERS[args.format](report)
+        text = _RENDERERS[args.format](report)
+        status = 2 if report.verdict == "not_converged" else 0
     except IntegrationError as exc:
         print(f"itmflow: integration failed: {exc}", file=sys.stderr)
         return 3

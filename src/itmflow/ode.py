@@ -54,52 +54,52 @@ def _compile(source: str, filename: str, name: str):
     return namespace[name]
 
 
-def record(frozen: bool):
-    """A class decorator that writes a record's methods over the class's annotated fields.
+class Record:
+    """The base of the package's records, whose fields are the class's annotations.
 
-    What ``dataclass(frozen=frozen)`` writes, without its field metadata:
-    ``__init__`` takes the fields in order, a class attribute being a field's
-    default, then calls ``__post_init__`` if the class has one; ``__repr__``
-    reads ``QualName(field=value!r, ...)``; ``__eq__`` compares the field
-    tuples of two instances of one class; ``__match_args__`` names the fields.
-    A frozen record hashes its field tuple and refuses to set or delete an
-    attribute (``object.__setattr__`` still sets one); any other is
-    unhashable.  The methods of a class are compiled together, once, under
-    ``<itmflow.ode record QualName>``.
+    What ``dataclass`` writes for an immutable class, without field metadata: a
+    subclass's ``__match_args__`` names its fields, and its ``__init__``,
+    compiled once under ``<itmflow.ode record QualName>``, takes them in order,
+    a class attribute being a field's default, then calls ``__post_init__`` if
+    the class has one.  ``__repr__`` reads ``QualName(field=value!r, ...)``,
+    ``__eq__`` compares the field tuples of two instances of one class and
+    ``__hash__`` hashes the field tuple.  Setting or deleting an attribute
+    raises (``object.__setattr__`` still sets one).
     """
-    def build(cls):
-        annotations = cls.__dict__.get("__annotations__", {})
-        fields = tuple(annotations)
-        params = "".join(f", {f}=cls.{f}" if f in cls.__dict__ else f", {f}" for f in fields)
-        mine, theirs = ("(" + "".join(f"{who}.{f}, " for f in fields) + ")" for who in ("self", "other"))
-        values = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
-        lines = [f"def __init__(self{params}):",
-                 *(f"    _set(self, {f!r}, {f})" for f in fields),
-                 "    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
-                 "def __repr__(self):",
-                 f"    return self.__class__.__qualname__ + f'({values})'",
-                 "def __eq__(self, other):",
-                 f"    return {mine} == {theirs} if other.__class__ is self.__class__ else NotImplemented"]
-        if frozen:
-            lines += ["def __hash__(self):", f"    return hash({mine})",
-                      "def __setattr__(self, name, value):",
-                      "    raise AttributeError(f'cannot assign to field {name!r}')",
-                      "def __delattr__(self, name):",
-                      "    raise AttributeError(f'cannot delete field {name!r}')"]
-        names = [line[4:line.index("(")] for line in lines if line.startswith("def ")]
-        source = ("def methods(cls, _set):\n" + "".join(f"    {line}\n" for line in lines)
-                  + f"    return {', '.join(names)},\n")
-        methods = _compile(source, f"<itmflow.ode record {cls.__qualname__}>", "methods")
-        for name, method in zip(names, methods(cls, object.__setattr__)):
-            method.__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, method)
-        cls.__init__.__annotations__ = {**annotations, "return": None}
-        cls.__match_args__ = fields
-        if not frozen:
-            cls.__hash__ = None
-        return cls
 
-    return build
+    def __init_subclass__(cls):
+        fields = tuple(cls.__dict__.get("__annotations__", {}))
+        params = "".join(f", {f}=cls.{f}" if f in cls.__dict__ else f", {f}" for f in fields)
+        source = (f"def make(cls, _set):\n    def __init__(self{params}):\n"
+                  + "".join(f"        _set(self, {f!r}, {f})\n" for f in fields)
+                  + ("        self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
+                  + "    return __init__\n")
+        init = _compile(source, f"<itmflow.ode record {cls.__qualname__}>", "make")(
+            cls, object.__setattr__)
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+        cls.__match_args__ = fields
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __repr__(self):
+        values = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__match_args__])
+        return f"{self.__class__.__qualname__}({values})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def check_positive(name: str, value) -> None:
@@ -138,8 +138,7 @@ class StepLimitError(IntegrationError):
     """The integration exceeded ``max_steps`` step attempts."""
 
 
-@record(frozen=True)
-class OdeSystem:
+class OdeSystem(Record):
     """First-order system ``dy/deta = rhs(eta, y)`` of fixed dimension.
 
     ``rhs`` receives a fresh list of ``dim`` Python floats, must return
@@ -202,8 +201,7 @@ def _float_tuple(values) -> tuple:
     return tuple(map(float, entries))
 
 
-@record(frozen=True)
-class IvpSpec:
+class IvpSpec(Record):
     """An initial value problem on ``[start, end]``.
 
     ``start`` and ``end`` are coerced to floats and ``initial_state`` to a
@@ -237,8 +235,7 @@ class IvpSpec:
             raise ValueError("initial state must be finite")
 
 
-@record(frozen=True)
-class StepControl:
+class StepControl(Record):
     """Adaptive integration policy.
 
     Acceptance is per component against ``abs_tol + rel_tol * |y_i|``.

@@ -9,7 +9,7 @@ certified degenerate (lam^2 <= 0) still counts as Gamma = +inf in brackets.
 
 import math
 
-from .ode import IntegrationError, StepControl, check_count, check_positive, record
+from .ode import IntegrationError, Record, StepControl, check_count, check_positive
 from .solver import ItmConfig, evaluate_gamma_at
 from .transform import DegenerateFarFieldError
 
@@ -29,8 +29,7 @@ class ScanFailedError(IntegrationError):
     """Every grid point failed to produce a Gamma value."""
 
 
-@record(frozen=True)
-class ScanGrid:
+class ScanGrid(Record):
     """Non-decreasing grid of positive h* values from exactly ``h_min`` to ``h_max``.
 
     A span of a few ulps repeats points, as ``np.linspace`` does.
@@ -68,8 +67,7 @@ class ScanGrid:
         return [h_min, *inner, h_max]
 
 
-@record(frozen=True)
-class ScanSample:
+class ScanSample(Record):
     """One probe; ``gamma`` and ``lam`` are NaN when ``failed``."""
 
     h_star: float
@@ -78,8 +76,7 @@ class ScanSample:
     failed: bool
 
 
-@record(frozen=False)
-class ScanReport:
+class ScanReport(Record):
     """A scan's samples in grid order, the (lo, hi) brackets of its sign changes and its verdict."""
 
     samples: list[ScanSample]

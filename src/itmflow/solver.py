@@ -11,8 +11,8 @@ import math
 
 from .models import (AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, VALID_SIGNS,
                      augmented_ic, blasius_star_ic, sakiadis_star_ic)
-from .ode import (IvpSpec, StepControl, Trajectory, check_count, check_positive,
-                  integrate_adaptive, record)
+from .ode import (IvpSpec, Record, StepControl, Trajectory, check_count, check_positive,
+                  integrate_adaptive)
 from .transform import DegenerateFarFieldError, GammaEvaluation, rescale_trajectory, topfer_reduce
 
 __all__ = [
@@ -40,8 +40,7 @@ class TopferAgreementError(RuntimeError):
         self.lambda_checks = list(lambda_checks)
 
 
-@record(frozen=True)
-class ItmConfig:
+class ItmConfig(Record):
     """Configuration for the iterative transformation method.
 
     Secant mode consumes both seeds ``h0`` and ``h1``; Newton mode starts
@@ -78,8 +77,7 @@ class ItmConfig:
         check_count("max_iterations", self.max_iterations)
 
 
-@record(frozen=True)
-class ItmIterate:
+class ItmIterate(Record):
     """One root-finder row: iterate index, h*, group parameter, Gamma, rescaled f''(0).
 
     A probe certified below the root (lam^2 <= 0) has ``gamma = inf`` and NaN
@@ -93,8 +91,7 @@ class ItmIterate:
     wall_shear: float
 
 
-@record(frozen=False)
-class ItmResult:
+class ItmResult(Record):
     """Outcome of an ITM solve; final fields are ``None`` when not converged."""
 
     iterates: list[ItmIterate]
@@ -109,8 +106,7 @@ class ItmResult:
         return len(self.iterates)
 
 
-@record(frozen=False)
-class TopferResult:
+class TopferResult(Record):
     """Topfer reduction outcome: per-boundary parameters and the accepted values."""
 
     lambda_checks: list[tuple[float, float]]

@@ -8,7 +8,7 @@ field, and the transformation function ``Gamma(h*) = h* / lam^4 - 1`` marks
 
 import math
 
-from .ode import IntegrationError, Trajectory, check_positive, record
+from .ode import IntegrationError, Record, Trajectory, check_positive
 
 __all__ = [
     "DegenerateFarFieldError", "GammaEvaluation", "rescale_trajectory", "topfer_reduce",
@@ -24,8 +24,7 @@ class DegenerateFarFieldError(IntegrationError):
     """
 
 
-@record(frozen=True)
-class GammaEvaluation:
+class GammaEvaluation(Record):
     """One evaluation of the transformation function at ``h_star``.
 
     Always built through :meth:`from_far_field`, so
