@@ -15,8 +15,7 @@ components.  A system written as text (``OdeSystem._from_text``, as the
 package's own models are) gets a march of its own that computes the rhs
 expressions in place of each call, with no call and no list; any other
 system's march calls its ``rhs``.  itmflow does not install numpy and no
-module of it imports numpy: only reading a :class:`Trajectory`'s ``etas``
-or ``states`` does.
+module of it imports numpy.
 """
 
 import functools
@@ -268,33 +267,25 @@ class StepControl(Record):
 
 
 class Trajectory:
-    """Accepted integration samples, held as float tuples.
+    """Accepted integration samples, held as ``(eta, *state)`` float tuples.
 
-    ``rows()`` gives each sample as an ``(eta, *state)`` tuple and
-    ``final_state`` the last state; etas are strictly increasing, the first
-    equals the IVP start and the last equals its end.
-
-    Attributes
-    ----------
-    etas : ndarray, shape (n,)
-        Sample abscissae.
-    states : ndarray, shape (n, dim)
-        State at each sample.
-
-    Both arrays are built from the samples on first access, then cached
-    read-only.  They need numpy, which itmflow does not install.
+    ``Trajectory(rows)`` coerces each row to floats; it needs at least two
+    rows of one length, with strictly increasing etas.  ``rows()`` gives the
+    samples and ``final_state`` the last state; an IVP's first eta is its start
+    and its last eta its end.  ``np.array(traj.rows())`` is the ``(n, 1 + dim)``
+    array of the samples: column 0 holds the etas, columns ``1:`` the states.
     """
 
-    __slots__ = ("_rows", "_etas", "_states")
+    __slots__ = ("_rows",)
 
-    def __init__(self, etas, states):
+    def __init__(self, rows):
         try:
-            etas, states = _float_tuple(etas), [_float_tuple(state) for state in states]
-            if len(states) != len(etas) or len(set(map(len, states))) > 1:
+            rows = [_float_tuple(row) for row in rows]
+            if len(set(map(len, rows))) > 1 or not all(rows):
                 raise ValueError
         except (TypeError, ValueError):
-            raise ValueError("inconsistent trajectory arrays") from None
-        self._set_rows([(eta, *state) for eta, state in zip(etas, states)])
+            raise ValueError("inconsistent trajectory rows") from None
+        self._set_rows(rows)
 
     @classmethod
     def _from_rows(cls, rows):
@@ -310,31 +301,11 @@ class Trajectory:
         if not all(map(operator.lt, etas, etas[1:])):
             raise ValueError("trajectory etas must be strictly increasing")
         self._rows = tuple(rows)
-        self._etas = self._states = None
 
     def rows(self) -> tuple[tuple[float, ...], ...]:
         """Every sample as an ``(eta, *state)`` tuple of floats (``np.float64``
         states where the rhs returns ndarrays)."""
         return self._rows
-
-    @property
-    def etas(self):
-        if self._etas is None:
-            self._build_arrays()
-        return self._etas
-
-    @property
-    def states(self):
-        if self._states is None:
-            self._build_arrays()
-        return self._states
-
-    def _build_arrays(self):
-        import numpy as np
-
-        self._etas = np.array([row[0] for row in self._rows])
-        self._states = np.array([row[1:] for row in self._rows])
-        self._etas.flags.writeable = self._states.flags.writeable = False
 
     @property
     def dim(self) -> int:

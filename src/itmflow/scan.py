@@ -140,7 +140,7 @@ def scan(grid: ScanGrid, sign: int, eta_inf_star: float = 10.0,
                 signed.append((h, math.inf))
     if all(s.failed for s in samples):
         raise ScanFailedError(
-            f"every probe failed on [{grid.h_min:.6g}, {grid.h_max:.6g}] with sign {sign:+d}"
+            f"every probe failed on [{grid.h_min:.6g}, {grid.h_max:.6g}] with sign {sign:+g}"
         )
     brackets = _brackets_of(signed)
     return ScanReport(samples=samples, brackets=brackets,

@@ -75,6 +75,8 @@ class ItmConfig(Record):
         check_positive("eta_inf_star", self.eta_inf_star)
         check_positive("gamma_tol", self.gamma_tol)
         check_count("max_iterations", self.max_iterations)
+        if not isinstance(self.step_control, StepControl):
+            raise ValueError(f"step_control must be a StepControl, got {self.step_control!r}")
 
 
 class ItmIterate(Record):
@@ -281,6 +283,8 @@ def solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0, 10.0),
     if not agreement_tol > 0:
         raise ValueError("agreement_tol must be positive")
     control = StepControl() if step_control is None else step_control
+    if not isinstance(control, StepControl):
+        raise ValueError(f"step_control must be a StepControl, got {control!r}")
 
     rows, lambda_checks = [], []
     accepted = None  # (boundary, far slope, lam, wall shear) of the first agreeing boundary

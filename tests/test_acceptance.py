@@ -132,12 +132,12 @@ def test_criterion_07_sensitivity_matches_finite_differences():
 
     def far_state(h, eta_inf):
         spec = IvpSpec(0.0, eta_inf, sakiadis_star_ic(h), SIMILARITY_SYSTEM)
-        return integrate_adaptive(spec, control).states[-1]
+        return integrate_adaptive(spec, control).final_state
 
     ok = True
     for h, eta_inf in cases:
         spec = IvpSpec(0.0, eta_inf, augmented_ic(h), AUGMENTED_SYSTEM)
-        aug = integrate_adaptive(spec, control).states[-1]
+        aug = integrate_adaptive(spec, control).final_state
         delta = 1e-5 * h
         hi = far_state(h + delta, eta_inf)
         lo = far_state(h - delta, eta_inf)
@@ -160,7 +160,8 @@ def test_criterion_08_rescaling_contract():
     control = StepControl(max_step=0.02)
     res = solve_sakiadis(ItmConfig(step_control=control))
     sol = res.rescaled_solution
-    etas, states = sol.etas, sol.states
+    table = np.array(sol.rows())
+    etas, states = table[:, 0], table[:, 1:]
     idx = np.unique(np.linspace(1, len(sol) - 2, 20).astype(int))
     worst = 0.0
     for i in idx:
@@ -194,7 +195,7 @@ def test_criterion_09_integrator_order():
 
     def error(h):
         control = StepControl(abs_tol=1.0, rel_tol=1.0, initial_step=h, min_step=h, max_step=h)
-        return abs(integrate_adaptive(spec, control).states[-1, 0] - math.e)
+        return abs(integrate_adaptive(spec, control).final_state[0] - math.e)
 
     errs = [error(h) for h in (0.1, 0.05, 0.025)]
     r1 = errs[0] / errs[1]

@@ -351,7 +351,7 @@ BENCHMARK_COMMANDS = [
 def test_command_line_runs_without_numpy(capsys, fresh_python, argv, golden):
     child = fresh_python(_CHILD, *argv)
     assert (child.returncode, child.stderr) == (0, "")
-    # Without numpy the output is the same as in this process, which has numpy loaded.
+    # A child without numpy prints what this process prints, numpy loaded here or not.
     assert child.stdout == run_cli(capsys, *argv)[1]
     if golden is not None:
         assert child.stdout.encode("utf-8") == (GOLDEN / golden).read_bytes()

@@ -1,6 +1,7 @@
 """Every name a module exports resolves, so a stale ``__all__`` entry fails here;
 the package re-exports its modules' ``__all__`` and declares no name of its own
-but ``__version__``; and no module reaches into a sibling through a private name."""
+but ``__version__``; no module reaches into a sibling through a private name; and
+no module imports numpy."""
 
 import ast
 import importlib
@@ -39,3 +40,18 @@ def test_no_private_imports_between_modules():
                 private += [f"{path.name}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert private == []
+
+
+def test_no_module_imports_numpy():
+    imports = []
+    for path in sorted(Path(itmflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imports += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] == "numpy"]
+    assert imports == []

@@ -65,7 +65,7 @@ class TestInitialConditions:
     def test_blasius_slope_monotone(self):
         spec = IvpSpec(0.0, 6.0, blasius_star_ic(), SIMILARITY_SYSTEM)
         traj = integrate_adaptive(spec)
-        assert np.all(np.diff(traj.states[:, 1]) > 0)
+        assert np.all(np.diff([row[2] for row in traj.rows()]) > 0)
 
     @pytest.mark.parametrize("h_star, sign, expected", [
         (2.5, -1, [0.0, 1.5811388300841898, -1.0]),
@@ -100,14 +100,14 @@ class TestInitialConditions:
 
 def _far_state(h_star, eta_inf, control):
     spec = IvpSpec(0.0, eta_inf, sakiadis_star_ic(h_star), SIMILARITY_SYSTEM)
-    return integrate_adaptive(spec, control).states[-1]
+    return integrate_adaptive(spec, control).final_state
 
 
 class TestSensitivityBlock:
     @pytest.mark.parametrize("h_star, eta_inf", [(2.0, 6.0), (2.5, 10.0), (3.2, 7.5)])
     def test_matches_central_differences(self, h_star, eta_inf, tight_control):
         spec = IvpSpec(0.0, eta_inf, augmented_ic(h_star), AUGMENTED_SYSTEM)
-        aug = integrate_adaptive(spec, tight_control).states[-1]
+        aug = integrate_adaptive(spec, tight_control).final_state
         delta = 1e-5 * h_star
         hi = _far_state(h_star + delta, eta_inf, tight_control)
         lo = _far_state(h_star - delta, eta_inf, tight_control)
@@ -120,6 +120,6 @@ class TestSensitivityBlock:
         control = StepControl()
         h_star = 2.5
         spec6 = IvpSpec(0.0, 10.0, augmented_ic(h_star), AUGMENTED_SYSTEM)
-        aug = integrate_adaptive(spec6, control).states[-1]
+        aug = np.array(integrate_adaptive(spec6, control).final_state)
         plain = _far_state(h_star, 10.0, control)
         assert np.max(np.abs(aug[:3] - plain)) <= 1e-6

@@ -73,13 +73,13 @@ class TestRk4Step:
 
     def test_zero_derivative_keeps_state(self):
         spec = IvpSpec(0.0, 0.1, np.array([7.0]), ZERO_1D)
-        assert integrate_adaptive(spec, _pinned(0.1)).states[-1, 0] == 7.0
+        assert integrate_adaptive(spec, _pinned(0.1)).final_state[0] == 7.0
 
     def test_exponential_one_step(self):
         spec = IvpSpec(0.0, 0.1, np.array([1.0]), EXP_1D)
         traj = integrate_adaptive(spec, _pinned(0.1))
         assert len(traj) == 2
-        assert abs(traj.states[-1, 0] - math.exp(0.1)) < 1e-7
+        assert abs(traj.final_state[0] - math.exp(0.1)) < 1e-7
 
     def test_blowup_carries_eta(self):
         # 1e200 squared overflows in the first slope, at the march's start
@@ -96,77 +96,76 @@ class TestIntegrateFixed:
         spec = IvpSpec(0.0, 10.0, np.array([3.0]), ZERO_1D)
         traj = integrate_adaptive(spec, _pinned(0.5))
         assert len(traj) == 21
-        assert np.all(traj.states == 3.0)
-        assert traj.etas[0] == 0.0 and traj.etas[-1] == 10.0
+        assert {row[1:] for row in traj.rows()} == {(3.0,)}
+        assert traj.rows()[0][0] == 0.0 and traj.rows()[-1][0] == 10.0
 
     def test_harmonic_oscillator_period(self):
         spec = IvpSpec(0.0, 2.0 * math.pi, np.array([1.0, 0.0]), HARMONIC)
-        final = integrate_adaptive(spec, _pinned(0.01)).states[-1]
+        final = np.array(integrate_adaptive(spec, _pinned(0.01)).final_state)
         assert np.max(np.abs(final - np.array([1.0, 0.0]))) < 1e-6
 
     def test_partial_final_step_lands_on_end(self):
         spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
         traj = integrate_adaptive(spec, _pinned(0.3))
-        assert traj.etas[-1] == 1.0
+        assert traj.rows()[-1][0] == 1.0
         assert len(traj) == 5
 
     def test_nonautonomous_rhs(self):
         spec = IvpSpec(0.0, 0.5 * math.pi, np.array([0.0]), OdeSystem(_cosine, 1))
         traj = integrate_adaptive(spec, _pinned(0.01))
-        assert traj.states[-1, 0] == pytest.approx(1.0, abs=1e-9)
+        assert traj.final_state[0] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestIntegrateAdaptive:
     def test_zero_rhs_single_accepted_macro_steps(self):
         spec = IvpSpec(0.0, 10.0, np.array([7.0]), ZERO_1D)
         traj = integrate_adaptive(spec)
-        assert np.all(traj.states == 7.0)
+        assert {row[1:] for row in traj.rows()} == {(7.0,)}
         # zero error estimate -> every step accepted, growth capped at 5x
         assert len(traj) < 12
 
     def test_exponential_hits_tolerance(self):
         spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
         traj = integrate_adaptive(spec)
-        assert abs(traj.states[-1, 0] - math.e) <= 1e-6
+        assert abs(traj.final_state[0] - math.e) <= 1e-6
 
     def test_sakiadis_far_slope(self):
         ic = np.array([0.0, math.sqrt(2.5), -1.0])
         spec = IvpSpec(0.0, 10.0, ic, SIMILARITY_SYSTEM)
         traj = integrate_adaptive(spec)
         # frozen from a rtol=atol=1e-12 reference run
-        assert traj.states[-1, 1] == pytest.approx(-0.4538642512, abs=5e-7)
+        assert traj.final_state[1] == pytest.approx(-0.4538642512, abs=5e-7)
 
     def test_agrees_with_fine_fixed_grid(self):
         spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
-        adaptive = integrate_adaptive(spec).states[-1]
-        fixed = integrate_adaptive(spec, _pinned(1e-4)).states[-1]
+        adaptive = np.array(integrate_adaptive(spec).final_state)
+        fixed = np.array(integrate_adaptive(spec, _pinned(1e-4)).final_state)
         assert np.max(np.abs(adaptive - fixed)) <= 10 * 1e-6
 
     def test_endpoints_exact(self):
         spec = IvpSpec(0.25, 0.73, np.array([1.0]), EXP_1D)
         traj = integrate_adaptive(spec)
-        assert traj.etas[0] == 0.25
-        assert traj.etas[-1] == 0.73
+        assert traj.rows()[0][0] == 0.25
+        assert traj.rows()[-1][0] == 0.73
         # a step cap that does not divide the span: the last step is cut short
         spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
         traj = integrate_adaptive(spec, StepControl(max_step=0.3))
-        assert traj.etas[0] == 0.0
-        assert traj.etas[-1] == 1.0
-        assert np.array_equal(traj.states[0], spec.initial_state)
+        assert traj.rows()[0][0] == 0.0
+        assert traj.rows()[-1][0] == 1.0
+        assert traj.rows()[0][1:] == spec.initial_state
 
     def test_max_step_below_default_initial_step(self):
         spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
         traj = integrate_adaptive(spec, StepControl(max_step=0.005))
-        assert traj.etas[-1] == 1.0
-        assert np.diff(traj.etas).max() <= 0.005 * (1 + 1e-9)
+        assert traj.rows()[-1][0] == 1.0
+        assert np.diff([row[0] for row in traj.rows()]).max() <= 0.005 * (1 + 1e-9)
 
     def test_deterministic_bitwise(self):
         ic = np.array([0.0, math.sqrt(2.5), -1.0])
         spec = IvpSpec(0.0, 10.0, ic, SIMILARITY_SYSTEM)
         a = integrate_adaptive(spec)
         b = integrate_adaptive(spec)
-        assert np.array_equal(a.etas, b.etas)
-        assert np.array_equal(a.states, b.states)
+        assert a.rows() == b.rows()
 
     def test_nonfinite_rhs_raises_blowup(self):
         def bad(eta, y):
@@ -180,7 +179,7 @@ class TestIntegrateAdaptive:
         # Two components of 1e308 sum to inf; the finiteness check must not.
         spec = IvpSpec(0.0, 1.0, [1e308, 1e308], OdeSystem(lambda eta, y: [0.0, 0.0], 2))
         traj = integrate_adaptive(spec)
-        assert traj.etas[-1] == 1.0 and traj.final_state == (1e308, 1e308)
+        assert traj.rows()[-1][0] == 1.0 and traj.final_state == (1e308, 1e308)
 
     def test_nonfinite_last_slope_raises_blowup_at_end(self):
         # The slope at the last accepted sample is never stepped from, but is checked.
@@ -238,7 +237,7 @@ class TestIntegrateAdaptive:
         traj = integrate_adaptive(IvpSpec(0.0, 10.0, [0.0], system),
                                   StepControl(initial_step=10.0, max_step=10.0))
         assert ratios == [math.inf]
-        assert traj.etas[1] == 1.0 and math.isfinite(traj.final_state[0])
+        assert traj.rows()[1][0] == 1.0 and math.isfinite(traj.final_state[0])
 
     def test_step_underflow(self):
         # near the pole of y' = y^2 the controller needs steps below min_step
@@ -259,8 +258,8 @@ class TestTerminalEvent:
         seen = []
         control = StepControl(stop=lambda eta, y: seen.append((eta, y)))
         traj = integrate_adaptive(IvpSpec(0.0, 1.0, np.array([1.0, 0.0]), HARMONIC), control)
-        assert [eta for eta, _ in seen] == traj.etas[1:].tolist()
-        assert [y for _, y in seen] == traj.states[1:].tolist()
+        assert [eta for eta, _ in seen] == [row[0] for row in traj.rows()[1:]]
+        assert [y for _, y in seen] == [list(row[1:]) for row in traj.rows()[1:]]
         assert all(type(y) is list for _, y in seen)
 
     def test_stop_gets_its_own_list(self):
@@ -336,8 +335,8 @@ class TestRhsContract:
 
         spec = IvpSpec(0.0, 1.0, np.zeros(2), OdeSystem(overwriting, 2))
         traj = integrate_adaptive(spec)
-        assert traj.states[0].tolist() == [0.0, 0.0]
-        assert {tuple(state) for state in traj.states.tolist()} <= set(given)
+        assert traj.rows()[0][1:] == (0.0, 0.0)
+        assert {row[1:] for row in traj.rows()} <= set(given)
 
     @pytest.mark.parametrize("integrate", [integrate_adaptive], ids=["adaptive"])
     @pytest.mark.parametrize("shape", [(1,), (2,), (4,), (1, 3), (3, 1)], ids=str)
@@ -440,8 +439,7 @@ class TestRhsContract:
         ic = sakiadis_star_ic(2.5)
         lists = integrate_adaptive(IvpSpec(0.0, 10.0, ic, SIMILARITY_SYSTEM))
         arrays = integrate_adaptive(IvpSpec(0.0, 10.0, ic, OdeSystem(as_ndarray, 3)))
-        assert np.array_equal(arrays.etas, lists.etas)
-        assert np.array_equal(arrays.states, lists.states)
+        assert arrays.rows() == lists.rows()
 
 
 class TestInlinedRhs:
@@ -515,30 +513,20 @@ class TestTrajectory:
             assert all(type(v) is float for row in rows for v in row)
             assert traj.final_state == rows[-1][1:]
 
-    def test_arrays_are_the_rows_cached_read_only(self, trajectories):
-        for traj in trajectories:
-            etas, states = traj.etas, traj.states
-            assert traj.etas is etas and traj.states is states
-            assert etas.dtype == states.dtype == np.float64
-            assert etas.shape == (len(traj),) and states.shape == (len(traj), traj.dim)
-            assert etas.tolist() == [row[0] for row in traj.rows()]
-            assert states.tolist() == [list(row[1:]) for row in traj.rows()]
-            assert not (etas.flags.writeable or states.flags.writeable)
-
     def test_constructor_coerces_arrays_to_float_rows(self):
-        traj = Trajectory(np.array([0, 1]), np.array([[1, 2], [3, 4]]))
-        assert traj.rows() == ((0.0, 1.0, 2.0), (1.0, 3.0, 4.0))
-        assert all(type(v) is float for row in traj.rows() for v in row)
+        for rows in ([(0, 1, 2), (1, 3, 4)], np.array([[0, 1, 2], [1, 3, 4]])):
+            traj = Trajectory(rows)
+            assert traj.rows() == ((0.0, 1.0, 2.0), (1.0, 3.0, 4.0))
+            assert all(type(v) is float for row in traj.rows() for v in row)
 
     def test_arrays_are_built_on_first_read(self, fresh_python):
+        # Integrating and reading the rows loads no numpy.
         child = fresh_python(
             "import sys\n"
             "from itmflow import IvpSpec, SIMILARITY_SYSTEM, integrate_adaptive\n"
             "traj = integrate_adaptive(IvpSpec(0.0, 1.0, [0.0, 0.0, 1.0], SIMILARITY_SYSTEM))\n"
-            "print(len(traj.rows()), traj.final_state[2] < 1.0, 'numpy' in sys.modules)\n"
-            "print(traj.states.shape, 'numpy' in sys.modules)\n")
-        rows = child.stdout.split()[0]
-        assert child.stdout == f"{rows} True False\n({rows}, 3) True\n"
+            "print(len(traj.rows()) > 1, traj.final_state[2] < 1.0, 'numpy' in sys.modules)\n")
+        assert child.stdout == "True True False\n"
 
 
 class TestValidation:
@@ -571,19 +559,19 @@ class TestValidation:
         assert spec.initial_state == (1.0, 2.0, 3.0)
         assert all(type(v) is float for v in (spec.start, spec.end, *spec.initial_state))
 
-    @pytest.mark.parametrize("etas, states, message", [
-        (np.array([[0.0], [1.0]]), np.zeros((2, 3)), "inconsistent trajectory arrays"),
-        (np.array([0.0, 1.0]), np.zeros(2), "inconsistent trajectory arrays"),
-        ([0.0, 1.0], [0.0, 0.0], "inconsistent trajectory arrays"),
-        ([0.0, 1.0], [(0.0, 0.0), (0.0,)], "inconsistent trajectory arrays"),
-        ([0.0, 1.0, 2.0], np.zeros((2, 3)), "inconsistent trajectory arrays"),
-        ([0.0], [[1.0]], "a trajectory needs at least two samples"),
-        ([0.0, 0.0], [[1.0], [1.0]], "trajectory etas must be strictly increasing"),
-    ], ids=["2-D etas", "1-D states", "flat state list", "ragged", "count", "one sample",
+    @pytest.mark.parametrize("rows, message", [
+        ([([0.0], 0.0, 0.0, 0.0), ([1.0], 0.0, 0.0, 0.0)], "inconsistent trajectory rows"),
+        ([(0.0, np.zeros(3)), (1.0, np.zeros(3))], "inconsistent trajectory rows"),
+        ([0.0, 0.0], "inconsistent trajectory rows"),
+        ([(0.0, 0.0, 0.0), (1.0, 0.0)], "inconsistent trajectory rows"),
+        ([(), ()], "inconsistent trajectory rows"),
+        ([(0.0, 1.0)], "a trajectory needs at least two samples"),
+        ([(0.0, 1.0), (0.0, 1.0)], "trajectory etas must be strictly increasing"),
+    ], ids=["2-D etas", "1-D states", "flat state list", "ragged", "empty rows", "one sample",
             "repeated eta"])
-    def test_trajectory_checks(self, etas, states, message):
+    def test_trajectory_checks(self, rows, message):
         with pytest.raises(ValueError, match=message):
-            Trajectory(etas, states)
+            Trajectory(rows)
 
     @pytest.mark.parametrize("text", [("f, fp", "fp, g"), ("f, fp", "fp")],
                              ids=["unknown name", "count"])

@@ -140,6 +140,12 @@ class TestVerdicts:
         with pytest.raises(ScanFailedError):
             scan(ScanGrid(0.5, 1.0, 2), -1)
 
+    @pytest.mark.parametrize("sign", [-1, -1.0])
+    def test_all_failed_scan_names_its_sign(self, sign):
+        message = r"^every probe failed on \[0\.5, 1\] with sign -1$"
+        with pytest.raises(ScanFailedError, match=message):
+            scan(ScanGrid(0.5, 1.0, 3), sign)
+
     def test_all_failed_scan_is_an_integration_error(self):
         with pytest.raises(IntegrationError) as err:
             scan(ScanGrid(0.3, 1.0, 3), -1)

@@ -2,15 +2,14 @@
 
 import math
 
-import numpy as np
 import pytest
 
 import itmflow.solver as solver_mod
 from itmflow import (DegenerateFarFieldError, GammaEvaluation, IntegrationError,
-                     ItmConfig, RootFinderBreakdownError,
+                     ItmConfig, RootFinderBreakdownError, ScanGrid,
                      StepControl, TopferAgreementError, Trajectory,
                      evaluate_gamma_at, evaluate_gamma_with_derivative,
-                     solve_blasius_topfer, solve_sakiadis)
+                     scan, solve_blasius_topfer, solve_sakiadis)
 
 # Iterate paths frozen from a rtol=atol=1e-12 reference integration; the
 # driver at its default 1e-6 tolerance must track them to 1e-3 per row and
@@ -122,7 +121,7 @@ class TestSecant:
         assert res.rescaled_solution is None
 
     def test_flat_gamma_breaks_down(self, monkeypatch):
-        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 3)) + [0.0, 1.0, -1.0])
+        traj = Trajectory([(eta, 0.0, 1.0, -1.0) for eta in (0.0, 1.0)])
 
         def fake_evaluate(h_star, sign, eta_inf, control, with_derivative):
             return GammaEvaluation(h_star, 0.0, 1.2, 0.5), traj
@@ -170,7 +169,7 @@ class TestNewton:
         assert abs(newton.final_wall_shear - secant.final_wall_shear) <= 1e-6
 
     def test_vanishing_derivative_breaks_down(self, monkeypatch):
-        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 3)) + [0.0, 1.0, -1.0])
+        traj = Trajectory([(eta, 0.0, 1.0, -1.0) for eta in (0.0, 1.0)])
 
         def fake_evaluate(h_star, sign, eta_inf, control, with_derivative):
             return GammaEvaluation(h_star, 0.0, 1.2, 0.5, dgamma_dh=0.0), traj
@@ -235,7 +234,7 @@ class TestCertifiedBracketing:
         assert all(it.gamma <= -0.75 for it in res.iterates)
 
     def test_flat_secant_inside_bracket_does_not_break_down(self, monkeypatch):
-        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 3)) + [0.0, 1.0, -1.0])
+        traj = Trajectory([(eta, 0.0, 1.0, -1.0) for eta in (0.0, 1.0)])
 
         def step_evaluate(h_star, sign, eta_inf, control, with_derivative):
             return GammaEvaluation(h_star, 0.0, 1.2, 1.0 if h_star < 3.0 else -1.0), traj
@@ -248,7 +247,7 @@ class TestCertifiedBracketing:
         assert abs(res.iterates[-1].h_star - 3.0) < 0.05
 
     def test_flat_newton_inside_bracket_does_not_break_down(self, monkeypatch):
-        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 6)))
+        traj = Trajectory([(eta, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) for eta in (0.0, 1.0)])
 
         def step_evaluate(h_star, sign, eta_inf, control, with_derivative):
             if h_star < 1.5:
@@ -266,9 +265,9 @@ class TestRescaledSolution:
     def test_boundary_conditions(self):
         res = solve_sakiadis()
         sol = res.rescaled_solution
-        assert sol.states[0, 0] == 0.0
-        assert abs(sol.states[0, 1] - 1.0) <= 1e-9
-        assert abs(sol.states[-1, 1]) <= 1e-3
+        assert sol.rows()[0][1] == 0.0
+        assert abs(sol.rows()[0][2] - 1.0) <= 1e-9
+        assert abs(sol.final_state[1]) <= 1e-3
 
     def test_far_slope_identity_at_root(self):
         res = solve_sakiadis()
@@ -278,7 +277,7 @@ class TestRescaledSolution:
 
     def test_span_stretches_by_lambda(self):
         res = solve_sakiadis()
-        assert res.rescaled_solution.etas[-1] == pytest.approx(
+        assert res.rescaled_solution.rows()[-1][0] == pytest.approx(
             res.final_lambda * 10.0, rel=1e-12)
 
 
@@ -309,6 +308,16 @@ class TestItmConfigValidation:
 
     def test_positive_branch_allowed_for_secant(self):
         assert ItmConfig(sign=1).sign == 1
+
+    @pytest.mark.parametrize("solve", [
+        lambda: ItmConfig(step_control=None),
+        lambda: ItmConfig(step_control={"abs_tol": 1e-8}),
+        lambda: scan(ScanGrid(0.5, 1.0, 3), -1, step_control=1),
+        lambda: solve_blasius_topfer(step_control=1),
+    ], ids=["config None", "config dict", "scan", "topfer"])
+    def test_rejects_a_step_control_of_another_type(self, solve):
+        with pytest.raises(ValueError, match="^step_control must be a StepControl, got "):
+            solve()
 
 
 class TestTopfer:
@@ -350,9 +359,9 @@ class TestTopfer:
     def test_rescaled_far_slope_is_unity(self):
         res = solve_blasius_topfer()
         sol = res.rescaled_solution
-        assert sol.states[0, 0] == 0.0
-        assert sol.states[0, 1] == 0.0
-        assert abs(sol.states[-1, 1] - 1.0) <= 1e-5
+        assert sol.rows()[0][1] == 0.0
+        assert sol.rows()[0][2] == 0.0
+        assert abs(sol.final_state[1] - 1.0) <= 1e-5
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"eta_checks": (4.0,)}, "at least two"),

@@ -60,12 +60,12 @@ class TestGammaDerivative:
 
         def far(h):
             spec = IvpSpec(0.0, eta_inf, sakiadis_star_ic(h), SIMILARITY_SYSTEM)
-            return float(integrate_adaptive(spec, tight_control).states[-1, 1])
+            return integrate_adaptive(spec, tight_control).final_state[1]
 
         def far_sensitivity(h):
             from itmflow import AUGMENTED_SYSTEM, augmented_ic
             spec = IvpSpec(0.0, eta_inf, augmented_ic(h), AUGMENTED_SYSTEM)
-            return float(integrate_adaptive(spec, tight_control).states[-1, 4])
+            return integrate_adaptive(spec, tight_control).final_state[4]
 
         rng = np.random.default_rng(7)
         for h in rng.uniform(1.5, 4.0, size=10):
@@ -91,21 +91,18 @@ class TestGammaEvaluation:
 
 class TestRescaling:
     def _toy_trajectory(self):
-        etas = np.array([0.0, 1.0])
-        states = np.array([[0.0, 0.0, 0.0], [2.0, 4.0, 8.0]])
-        return Trajectory(etas, states)
+        return Trajectory([(0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 4.0, 8.0)])
 
     def test_identity_group_leaves_trajectory(self):
         traj = self._toy_trajectory()
         out = rescale_trajectory(1.0, traj)
-        assert np.array_equal(out.etas, traj.etas)
-        assert np.array_equal(out.states, traj.states)
+        assert out.rows() == traj.rows()
 
     def test_single_sample_power_arithmetic(self):
         traj = self._toy_trajectory()
         out = rescale_trajectory(2.0, traj)
-        assert out.etas[1] == 2.0
-        assert np.allclose(out.states[1], [1.0, 1.0, 1.0])
+        assert out.rows()[1][0] == 2.0
+        assert np.allclose(out.rows()[1][1:], [1.0, 1.0, 1.0])
 
     def test_group_closure(self):
         ic = sakiadis_star_ic(2.5)
@@ -113,8 +110,9 @@ class TestRescaling:
         traj = integrate_adaptive(spec)
         one = rescale_trajectory(1.3, rescale_trajectory(0.8, traj))
         two = rescale_trajectory(1.3 * 0.8, traj)
-        assert np.allclose(one.etas, two.etas, rtol=1e-14, atol=0)
-        assert np.allclose(one.states, two.states, rtol=1e-13, atol=1e-16)
+        one, two = np.array(one.rows()), np.array(two.rows())
+        assert np.allclose(one[:, 0], two[:, 0], rtol=1e-14, atol=0)
+        assert np.allclose(one[:, 1:], two[:, 1:], rtol=1e-13, atol=1e-16)
 
     def test_rescaled_derivs_consistent_with_rhs(self):
         # the group maps slopes like states divided once more by lam (eta is stretched)
@@ -125,15 +123,14 @@ class TestRescaling:
         out = rescale_trajectory(lam, star)
         slope_scale = np.array([lam ** -2, lam ** -3, lam ** -4])
         for i in (0, len(out) // 2, len(out) - 1):
-            assert np.allclose(SIMILARITY_SYSTEM.rhs(0.0, out.states[i]),
-                               SIMILARITY_SYSTEM.rhs(0.0, star.states[i]) * slope_scale,
+            assert np.allclose(SIMILARITY_SYSTEM.rhs(0.0, out.rows()[i][1:]),
+                               SIMILARITY_SYSTEM.rhs(0.0, star.rows()[i][1:]) * slope_scale,
                                rtol=1e-12, atol=1e-15)
 
     def test_requires_three_components(self):
-        etas = np.array([0.0, 1.0])
-        flat = np.zeros((2, 2))
+        flat = Trajectory([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
         with pytest.raises(ValueError):
-            rescale_trajectory(2.0, Trajectory(etas, flat))
+            rescale_trajectory(2.0, flat)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan],
                              ids=["zero", "negative", "inf", "nan"])
