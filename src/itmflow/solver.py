@@ -18,8 +18,7 @@ from .transform import DegenerateFarFieldError, GammaEvaluation, rescale_traject
 __all__ = [
     "SECANT", "NEWTON", "ItmConfig", "ItmIterate", "ItmResult", "TopferResult",
     "RootFinderBreakdownError", "TopferAgreementError",
-    "evaluate_gamma_at", "evaluate_gamma_with_derivative",
-    "solve_sakiadis", "solve_blasius_topfer",
+    "evaluate_gamma_at", "solve_sakiadis", "solve_blasius_topfer",
 ]
 
 SECANT = "secant"
@@ -118,22 +117,23 @@ class TopferResult(Record):
     rescaled_solution: Trajectory
 
 
-def _evaluate(h_star, sign, eta_inf_star, control, with_derivative):
-    """One probe of the transformation function.
+def _evaluate(h_star, config):
+    """One probe of the transformation function, the one ``solve_sakiadis`` takes.
 
-    Integrates the starred IVP (the 6-equation augmented system when
-    ``with_derivative``) to the truncated boundary and reads the far field;
-    returns the evaluation together with the raw starred trajectory.
+    Integrates the starred IVP of ``config`` (the 6-equation augmented system
+    under Newton, for dGamma/dh*) to the truncated boundary and reads the far
+    field; returns the evaluation together with the raw starred trajectory.
     Every failed probe raises an :class:`IntegrationError`.  On the sign -1
     branch f' decreases, so the march stops with a
     :class:`DegenerateFarFieldError` at the first accepted sample where
     ``f' + sqrt(h*) <= 0``: lam^2 <= 0 at the boundary is then certain.
     """
-    if with_derivative:
+    newton, control = config.root_finder == NEWTON, config.step_control
+    if newton:
         initial, system = augmented_ic(h_star), AUGMENTED_SYSTEM
     else:
-        initial, system = sakiadis_star_ic(h_star, sign), SIMILARITY_SYSTEM
-    if sign == -1:
+        initial, system = sakiadis_star_ic(h_star, config.sign), SIMILARITY_SYSTEM
+    if config.sign == -1:
         root = initial[1]
 
         def certify(eta, y):
@@ -143,29 +143,18 @@ def _evaluate(h_star, sign, eta_inf_star, control, with_derivative):
                     "lam^2 <= 0 at the truncated boundary", eta)
 
         control = StepControl(**{**vars(control), "stop": certify})
-    traj = integrate_adaptive(IvpSpec(0.0, eta_inf_star, initial, system), control)
+    traj = integrate_adaptive(IvpSpec(0.0, config.eta_inf_star, initial, system), control)
     far = traj.final_state
-    sensitivity = far[4] if with_derivative else None
-    return GammaEvaluation.from_far_field(h_star, far[1], sensitivity), traj
+    return GammaEvaluation.from_far_field(h_star, far[1], far[4] if newton else None), traj
 
 
 def evaluate_gamma_at(h_star: float, config: ItmConfig | None = None) -> GammaEvaluation:
-    """Gamma and lambda at ``h_star`` from one 3-equation starred IVP solve."""
-    config = ItmConfig() if config is None else config
-    evaluation, _ = _evaluate(h_star, config.sign, config.eta_inf_star,
-                              config.step_control, False)
-    return evaluation
+    """Gamma and lambda at ``h_star`` as ``solve_sakiadis(config)`` computes them.
 
-
-def evaluate_gamma_with_derivative(h_star: float,
-                                   config: ItmConfig | None = None) -> GammaEvaluation:
-    """Gamma, lambda and dGamma/dh* from one 6-equation augmented IVP solve."""
-    config = ItmConfig() if config is None else config
-    if config.sign != -1:
-        raise ValueError("the augmented system is defined on the sign = -1 branch only")
-    evaluation, _ = _evaluate(h_star, -1, config.eta_inf_star,
-                              config.step_control, True)
-    return evaluation
+    The probe marches the 3-equation starred IVP, or under a Newton config
+    the 6-equation augmented one, which also gives ``dgamma_dh``.
+    """
+    return _evaluate(h_star, ItmConfig() if config is None else config)[0]
 
 
 def solve_sakiadis(config: ItmConfig | None = None) -> ItmResult:
@@ -198,8 +187,7 @@ def solve_sakiadis(config: ItmConfig | None = None) -> ItmResult:
     def probe(h_star):
         nonlocal converged, slope
         try:
-            evaluation, traj = _evaluate(h_star, config.sign, config.eta_inf_star,
-                                         config.step_control, newton)
+            evaluation, traj = _evaluate(h_star, config)
             lam, gamma, slope = evaluation.lam, evaluation.gamma, evaluation.dgamma_dh
         except DegenerateFarFieldError:
             lam, gamma = math.nan, math.inf

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from itmflow import (ItmConfig, ScanGrid, StepControl, augmented_ic,
-                     evaluate_gamma_at, evaluate_gamma_with_derivative,
-                     integrate_adaptive, sakiadis_star_ic,
+                     evaluate_gamma_at, integrate_adaptive, sakiadis_star_ic,
                      scan, solve_blasius_topfer, solve_sakiadis)
 from itmflow.cli import main
 from itmflow.models import AUGMENTED_SYSTEM, SIMILARITY_SYSTEM
@@ -146,7 +145,8 @@ def test_criterion_07_sensitivity_matches_finite_differences():
         rel_u2 = abs(aug[4] - fd_u2) / abs(fd_u2)
         rel_u3 = abs(aug[5] - fd_u3) / abs(fd_u3)
         cfg = ItmConfig(eta_inf_star=eta_inf, step_control=control)
-        dgamma = evaluate_gamma_with_derivative(h, cfg).dgamma_dh
+        newton = ItmConfig(root_finder="newton", eta_inf_star=eta_inf, step_control=control)
+        dgamma = evaluate_gamma_at(h, newton).dgamma_dh
         fd_g = (evaluate_gamma_at(h + delta, cfg).gamma
                 - evaluate_gamma_at(h - delta, cfg).gamma) / (2 * delta)
         rel_g = abs(dgamma - fd_g) / abs(fd_g)

@@ -8,8 +8,7 @@ import itmflow.solver as solver_mod
 from itmflow import (DegenerateFarFieldError, GammaEvaluation, IntegrationError,
                      ItmConfig, RootFinderBreakdownError, ScanGrid,
                      StepControl, TopferAgreementError, Trajectory,
-                     evaluate_gamma_at, evaluate_gamma_with_derivative,
-                     scan, solve_blasius_topfer, solve_sakiadis)
+                     evaluate_gamma_at, scan, solve_blasius_topfer, solve_sakiadis)
 
 # Iterate paths frozen from a rtol=atol=1e-12 reference integration; the
 # driver at its default 1e-6 tolerance must track them to 1e-3 per row and
@@ -47,15 +46,35 @@ class TestEvaluateGamma:
         with pytest.raises(ValueError):
             evaluate_gamma_at(-1.0)
 
-    def test_with_derivative(self):
-        ev = evaluate_gamma_with_derivative(2.5)
+    def test_newton_config_carries_derivative(self):
+        ev = evaluate_gamma_at(2.5, ItmConfig(root_finder="newton"))
         assert 0.967341 <= ev.gamma <= 0.967347
         # frozen reference slope of the composed transformation function
         assert ev.dgamma_dh == pytest.approx(-7.1714526, rel=1e-4)
 
-    def test_derivative_needs_negative_branch(self):
-        with pytest.raises(ValueError):
-            evaluate_gamma_with_derivative(2.5, ItmConfig(sign=1))
+    @pytest.mark.parametrize("root_finder", ["secant", "newton"])
+    @pytest.mark.parametrize("eta_inf_star", [10.0, 15.0])
+    def test_reproduces_every_iterate_of_the_solve(self, root_finder, eta_inf_star):
+        # evaluate_gamma_at is the solve's own probe, so each iterate's Gamma
+        # and lambda come back bit for bit; at eta_inf* = 15 the seed h* = 2.5
+        # is certified below the root.
+        cfg = ItmConfig(root_finder=root_finder, eta_inf_star=eta_inf_star)
+        res = solve_sakiadis(cfg)
+        assert res.converged
+        assert (res.iterates[0].gamma == math.inf) == (eta_inf_star == 15.0)
+        evaluations = []
+        for it in res.iterates:
+            if it.gamma == math.inf:
+                with pytest.raises(DegenerateFarFieldError):
+                    evaluate_gamma_at(it.h_star, cfg)
+                continue
+            ev = evaluate_gamma_at(it.h_star, cfg)
+            assert (ev.gamma, ev.lam) == (it.gamma, it.lam)
+            evaluations.append(ev)
+        if root_finder == "newton" and eta_inf_star == 10.0:
+            # No bracket forms on the default Newton path: every step is Newton's.
+            for it, ev, nxt in zip(res.iterates, evaluations, res.iterates[1:]):
+                assert nxt.h_star == it.h_star - ev.gamma / ev.dgamma_dh
 
     def test_degenerate_far_field_is_an_integration_error(self):
         # At eta_inf* = 15 the h* = 2.5 probe ends with f' + sqrt(h*) <= 0.
@@ -123,7 +142,7 @@ class TestSecant:
     def test_flat_gamma_breaks_down(self, monkeypatch):
         traj = Trajectory([(eta, 0.0, 1.0, -1.0) for eta in (0.0, 1.0)])
 
-        def fake_evaluate(h_star, sign, eta_inf, control, with_derivative):
+        def fake_evaluate(h_star, config):
             return GammaEvaluation(h_star, 0.0, 1.2, 0.5), traj
 
         monkeypatch.setattr(solver_mod, "_evaluate", fake_evaluate)
@@ -171,7 +190,7 @@ class TestNewton:
     def test_vanishing_derivative_breaks_down(self, monkeypatch):
         traj = Trajectory([(eta, 0.0, 1.0, -1.0) for eta in (0.0, 1.0)])
 
-        def fake_evaluate(h_star, sign, eta_inf, control, with_derivative):
+        def fake_evaluate(h_star, config):
             return GammaEvaluation(h_star, 0.0, 1.2, 0.5, dgamma_dh=0.0), traj
 
         monkeypatch.setattr(solver_mod, "_evaluate", fake_evaluate)
@@ -187,12 +206,14 @@ class TestCertifiedBracketing:
     STALL = ItmConfig(h0=2.0681216542641616, h1=2.5405150702502732, eta_inf_star=15.0,
                       step_control=StepControl(abs_tol=1e-6, rel_tol=1e-6))
 
-    @pytest.mark.parametrize("evaluate", [evaluate_gamma_at, evaluate_gamma_with_derivative])
-    def test_probe_stops_at_certified_crossing(self, evaluate):
-        # f' + sqrt(h*) crosses zero near eta = 1.7 at h* = 0.5; the march
-        # used to run on to a step underflow near eta = 5.
+    @pytest.mark.parametrize("config", [ItmConfig(), ItmConfig(root_finder="newton")],
+                             ids=["evaluate_gamma_at", "newton"])
+    def test_probe_stops_at_certified_crossing(self, config):
+        # f' + sqrt(h*) crosses zero near eta = 1.7 at h* = 0.5, on the
+        # 3-equation and the 6-equation march alike; the march used to run on
+        # to a step underflow near eta = 5.
         with pytest.raises(DegenerateFarFieldError) as err:
-            evaluate(0.5)
+            evaluate_gamma_at(0.5, config)
         assert 1.5 < err.value.eta < 1.9
         assert "is not positive at eta = 1.68863" in str(err.value)
 
@@ -236,7 +257,7 @@ class TestCertifiedBracketing:
     def test_flat_secant_inside_bracket_does_not_break_down(self, monkeypatch):
         traj = Trajectory([(eta, 0.0, 1.0, -1.0) for eta in (0.0, 1.0)])
 
-        def step_evaluate(h_star, sign, eta_inf, control, with_derivative):
+        def step_evaluate(h_star, config):
             return GammaEvaluation(h_star, 0.0, 1.2, 1.0 if h_star < 3.0 else -1.0), traj
 
         monkeypatch.setattr(solver_mod, "_evaluate", step_evaluate)
@@ -249,7 +270,7 @@ class TestCertifiedBracketing:
     def test_flat_newton_inside_bracket_does_not_break_down(self, monkeypatch):
         traj = Trajectory([(eta, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) for eta in (0.0, 1.0)])
 
-        def step_evaluate(h_star, sign, eta_inf, control, with_derivative):
+        def step_evaluate(h_star, config):
             if h_star < 1.5:
                 raise DegenerateFarFieldError("certified below the root", 0.5)
             return GammaEvaluation(h_star, 0.0, 1.2, -1.0, dgamma_dh=0.0), traj
