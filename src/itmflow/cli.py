@@ -9,12 +9,11 @@ Run metadata only ever goes to stderr (``--verbose``).
 """
 
 import argparse
-import json
 import math
 import sys
 
 from .ode import BACKEND, IntegrationError, Record, StepControl
-from .scan import ScanGrid, export_scan, scan
+from .scan import ScanGrid, scan
 from .solver import (NEWTON, SECANT, ItmConfig, RootFinderBreakdownError,
                      TopferAgreementError, solve_blasius_topfer, solve_sakiadis)
 
@@ -138,9 +137,12 @@ def _step_control(args) -> StepControl:
     return StepControl(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
 
 
-def _trajectory_csv(traj) -> str:
-    rows = [",".join(map(_fmt, row)) for row in traj.rows()]
-    return "\n".join(["eta,f,df,ddf", *rows]) + "\n"
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row: numbers by ``_fmt``, booleans as true/false."""
+    lines = [header]
+    lines += [",".join(("true" if v else "false") if isinstance(v, bool) else _fmt(v)
+                       for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_sakiadis(args) -> Report:
@@ -174,7 +176,7 @@ def cmd_sakiadis(args) -> Report:
                "gamma_evaluations": result.gamma_evaluations},
         verdict="converged" if result.converged else "not_converged",
         table=table,
-        csv=_trajectory_csv(result.rescaled_solution) if result.converged else None,
+        csv=_csv("eta,f,df,ddf", result.rescaled_solution.rows()) if result.converged else None,
         verbose=f"backend={BACKEND} root_finder={args.root_finder} "
                 f"gamma_evaluations={result.gamma_evaluations}",
     )
@@ -200,7 +202,7 @@ def cmd_blasius(args) -> Report:
                "wall_shear": result.wall_shear},
         verdict="converged",
         table=table,
-        csv=_trajectory_csv(result.rescaled_solution),
+        csv=_csv("eta,f,df,ddf", result.rescaled_solution.rows()),
         verbose=f"backend={BACKEND} accepted_eta={result.accepted_eta}",
     )
 
@@ -223,7 +225,9 @@ def cmd_scan(args) -> Report:
         final={"brackets": report.brackets},
         verdict=report.verdict,
         table=table,
-        csv=export_scan(report) + f"# verdict: {report.verdict}\n",
+        csv=_csv("h_star,gamma,lambda,failed",
+                 [(s.h_star, s.gamma, s.lam, s.failed) for s in report.samples])
+            + f"# verdict: {report.verdict}\n",
         verbose=f"backend={BACKEND} samples={len(report.samples)} failed={failed}",
     )
 
@@ -250,8 +254,8 @@ def cmd_compare(args) -> Report:
         table=[f"blasius   f''(0) = {blasius:9.6f}",
                f"sakiadis  f''(0) = {sakiadis:9.6f}",
                f"wall-shear increase: {increase:.2f}%"],
-        csv="blasius_wall_shear,sakiadis_wall_shear,increase_percent\n"
-            f"{_fmt(blasius)},{_fmt(sakiadis)},{_fmt(increase)}\n",
+        csv=_csv("blasius_wall_shear,sakiadis_wall_shear,increase_percent",
+                 [(blasius, sakiadis, increase)]),
         verbose=f"backend={BACKEND}",
     )
 
@@ -275,6 +279,8 @@ def _rounded(value):
 
 
 def render_json(report: Report) -> str:
+    import json  # only JSON output needs it
+
     doc = {"config": report.config, "iterates": report.iterates,
            "final": report.final, "verdict": report.verdict}
     return json.dumps(_rounded(doc), indent=2) + "\n"

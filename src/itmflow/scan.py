@@ -16,7 +16,7 @@ from .transform import DegenerateFarFieldError
 __all__ = [
     "ScanGrid", "ScanSample", "ScanReport", "ScanFailedError",
     "NO_ZERO", "UNIQUE_ZERO", "MULTIPLE_ZEROS", "INCONCLUSIVE",
-    "scan", "export_scan",
+    "scan",
 ]
 
 NO_ZERO = "no_zero"
@@ -145,12 +145,3 @@ def scan(grid: ScanGrid, sign: int, eta_inf_star: float = 10.0,
     brackets = _brackets_of(signed)
     return ScanReport(samples=samples, brackets=brackets,
                       verdict=_verdict_of(samples, brackets))
-
-
-def export_scan(report: ScanReport) -> str:
-    """CSV text for a scan report: ``h_star,gamma,lambda,failed`` rows."""
-    lines = ["h_star,gamma,lambda,failed"]
-    for s in report.samples:
-        flag = "true" if s.failed else "false"
-        lines.append(f"{s.h_star:.12e},{s.gamma:.12e},{s.lam:.12e},{flag}")
-    return "\n".join(lines) + "\n"

@@ -1,11 +1,14 @@
 """Command-line behaviour: exit codes, formats, stable machine output."""
 
+import csv
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
+import itmflow.cli
+from itmflow import ItmResult, ScanGrid, scan
 from itmflow.cli import _increase_percent, main, run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -207,6 +210,19 @@ class TestScanCommand:
         assert lines[0] == "h_star,gamma,lambda,failed"
         assert lines[-1] == "# verdict: unique_zero"
 
+    def test_csv_round_trips_the_samples(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--h-min", "2.5", "--h-max", "3.5",
+                               "--count", "5", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()[:-1]))  # drop the verdict line
+        samples = scan(ScanGrid(2.5, 3.5, 5), -1).samples
+        assert len(rows) == len(samples) == 5
+        for row, sample in zip(rows, samples):
+            assert abs(float(row["h_star"]) - sample.h_star) <= 1e-12
+            assert abs(float(row["gamma"]) - sample.gamma) <= 1e-12
+            assert abs(float(row["lambda"]) - sample.lam) <= 1e-12
+            assert row["failed"] == "false"
+
     def test_positive_branch_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--sign", "1", "--h-min", "0.5",
                                "--h-max", "20", "--count", "10")
@@ -254,6 +270,13 @@ class TestCompareCommand:
         assert lines[0] == "blasius_wall_shear,sakiadis_wall_shear,increase_percent"
         values = [float(x) for x in lines[1].split(",")]
         assert len(values) == 3
+
+    def test_not_converged_sakiadis_prints_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(itmflow.cli, "solve_sakiadis", lambda config: ItmResult([], False))
+        code, out, err = run_cli(capsys, "compare")
+        assert code == 2
+        assert out == ""
+        assert err == "itmflow: Sakiadis solve did not converge\n"
 
     def test_increase_of_identical_problem_is_zero(self):
         assert _increase_percent(-0.44, -0.44) == 0.0
@@ -372,3 +395,20 @@ sys.exit(status)
 def test_command_line_imports_no_dataclasses_or_inspect(fresh_python, argv):
     child = fresh_python(_MODULES_CHILD, *argv)
     assert (child.returncode, child.stderr) == (0, "loaded: []\n")
+
+
+# Only JSON output imports json, so the other command lines never load it.
+_JSON_CHILD = """
+import sys
+from itmflow.cli import main
+status = main(sys.argv[1:])
+print("json loaded:", "json" in sys.modules, file=sys.stderr)
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in BENCHMARK_COMMANDS
+                                  if "json" not in argv])
+def test_command_line_imports_json_only_for_json_output(fresh_python, argv):
+    child = fresh_python(_JSON_CHILD, *argv)
+    assert (child.returncode, child.stderr) == (0, "json loaded: False\n")

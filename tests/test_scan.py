@@ -1,17 +1,15 @@
-"""Gamma sweeps: bracket detection, verdicts, CSV export."""
+"""Gamma sweeps: grids, bracket detection and verdicts."""
 
-import csv
-import io
 import math
 import random
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from itmflow import (IntegrationError, ItmConfig, ScanFailedError, ScanGrid,
-                     StepControl, StepLimitError, evaluate_gamma_at, export_scan,
-                     scan, solve_sakiadis)
+                     StepControl, StepLimitError, evaluate_gamma_at, scan, solve_sakiadis)
 
 DEFAULT_GRID = ScanGrid(h_min=0.5, h_max=20.0, count=40)
 
@@ -178,6 +176,20 @@ class TestVerdicts:
         assert report.brackets == [(2.75, 3.25)]
         assert report.verdict == "inconclusive"
 
+    # Gamma lands exactly on zero at a grid point: the bracket is that point.
+    @pytest.mark.parametrize("gammas, bracket, verdict", [
+        ((0.5, 0.0, -0.5), (2.0, 2.0), "unique_zero"),
+        ((0.5, 0.25, 0.0), (3.0, 3.0), "inconclusive"),
+        ((0.0, -0.5, -0.7), (1.0, 1.0), "inconclusive"),
+    ])
+    def test_exact_zero_is_a_point_bracket(self, monkeypatch, gammas, bracket, verdict):
+        gamma_at = dict(zip([1.0, 2.0, 3.0], gammas))
+        monkeypatch.setattr(sys.modules["itmflow.scan"], "evaluate_gamma_at",
+                            lambda h, config: SimpleNamespace(gamma=gamma_at[h], lam=1.0))
+        report = scan(ScanGrid(1.0, 3.0, 3), -1)
+        assert report.brackets == [bracket]
+        assert report.verdict == verdict
+
     def test_edge_touching_bracket_is_inconclusive(self):
         # the sign change sits on the very first grid interval
         report = scan(ScanGrid(2.5, 3.0, 2), -1)
@@ -199,6 +211,13 @@ class TestBracketQuality:
         slope = (pair[1].gamma - pair[0].gamma) / (pair[1].h_star - pair[0].h_star)
         assert abs(slope) > 0.5
 
+    def test_interpolant_crosses_zero_once_in_window(self, negative_branch_report):
+        valid = [s for s in negative_branch_report.samples
+                 if not s.failed and 2.5 <= s.h_star <= 3.5]
+        signs = [s.gamma > 0 for s in valid]
+        crossings = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        assert crossings == 1
+
 
 class TestDeterminism:
     def test_repeat_scan_identical(self):
@@ -216,35 +235,3 @@ class TestDeterminism:
     def test_samples_sorted(self, negative_branch_report):
         h = [s.h_star for s in negative_branch_report.samples]
         assert h == sorted(h)
-
-
-class TestExport:
-    def test_header_and_shape(self, positive_branch_report):
-        text = export_scan(positive_branch_report)
-        lines = text.strip().split("\n")
-        assert lines[0] == "h_star,gamma,lambda,failed"
-        assert len(lines) == 1 + len(positive_branch_report.samples)
-
-    def test_round_trip(self):
-        report = scan(ScanGrid(2.5, 3.5, 5), -1)
-        text = export_scan(report)
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 5
-        for row, sample in zip(rows, report.samples):
-            assert abs(float(row["h_star"]) - sample.h_star) <= 1e-12
-            assert abs(float(row["gamma"]) - sample.gamma) <= 1e-12
-            assert abs(float(row["lambda"]) - sample.lam) <= 1e-12
-            assert row["failed"] == "false"
-
-    def test_failed_rows_flagged(self, negative_branch_report):
-        text = export_scan(negative_branch_report)
-        first_row = text.split("\n")[1]
-        assert first_row.endswith(",true")
-        assert "nan" in first_row
-
-    def test_interpolant_crosses_zero_once_in_window(self, negative_branch_report):
-        valid = [s for s in negative_branch_report.samples
-                 if not s.failed and 2.5 <= s.h_star <= 3.5]
-        signs = [s.gamma > 0 for s in valid]
-        crossings = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-        assert crossings == 1
