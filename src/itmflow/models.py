@@ -9,7 +9,7 @@ parameter h*, which Newton's root-finder needs.
 
 import math
 
-from .ode import OdeSystem
+from .ode import OdeSystem, check_positive
 
 __all__ = [
     "SIMILARITY_SYSTEM", "AUGMENTED_SYSTEM",
@@ -33,19 +33,12 @@ def blasius_star_ic() -> tuple[float, ...]:
     return (0.0, 0.0, 1.0)
 
 
-def _check_h_star(h_star: float) -> float:
-    h = float(h_star)
-    if not h > 0:
-        raise ValueError(f"h* must be positive, got {h_star}")
-    return h
-
-
 def sakiadis_star_ic(h_star: float, sign: int = -1) -> tuple[float, ...]:
     """Sakiadis starred start: (0, sqrt(h*), sign) with sign = +-1."""
-    h = _check_h_star(h_star)
+    check_positive("h*", h_star)
     if sign not in VALID_SIGNS:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return (0.0, math.sqrt(h), float(sign))
+    return (0.0, math.sqrt(h_star), float(sign))
 
 
 def augmented_ic(h_star: float) -> tuple[float, ...]:
@@ -54,6 +47,6 @@ def augmented_ic(h_star: float) -> tuple[float, ...]:
     The curvature is pinned to -1: Newton mode only makes sense on the
     branch where the transformation function has its zero.
     """
-    h = _check_h_star(h_star)
-    root = math.sqrt(h)
+    check_positive("h*", h_star)
+    root = math.sqrt(h_star)
     return (0.0, root, -1.0, 0.0, 0.5 / root, 0.0)

@@ -323,7 +323,10 @@ class Trajectory:
 # with slope k = rhs(eta, y), each attempt over [eta, eta + h] takes a full RK4
 # step and two half steps, unrolled.  Each `...` span is repeated for components
 # 0 .. dim-1 with @ as the index and joined by ", ", or by the text before a
-# leading |, so a dim-3 system reads `y0, y1, y2, = y` and `e0 + e1 + e2`.
+# leading |: a tuple span only unpacks a sequence (`y0, y1, y2, = y`), and each
+# per-component value is its own statement (`f0 = ...; f1 = ...`).  Each rhs
+# call's abscissa is a left-to-right sum from eta written in the call, so an
+# inlined call, which drops it, leaves no abscissa arithmetic.
 # Every float operation keeps the order and grouping of the ndarray form
 # y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), of max and min in the step
 # update, and of sum in the finiteness gate.  The error ratio is the largest
@@ -348,28 +351,25 @@ def march(rhs, eta, end, h, y, k, abs_tol, rel_tol, min_step, max_step, max_step
                 raise _step_limit(eta)
             # the full step
             hh = 0.5 * h
-            mid = eta + hh
-            r = `b@`, = rhs(mid, [`y@ + hh * k@`])
-            r = `c@`, = rhs(mid, [`y@ + hh * b@`])
+            r = `b@`, = rhs(eta + hh, [`y@ + hh * k@`])
+            r = `c@`, = rhs(eta + hh, [`y@ + hh * b@`])
             r = `d@`, = rhs(eta + h, [`y@ + h * c@`])
             s = h / 6.0
-            `f@`, = `y@ + s * (k@ + 2.0 * b@ + 2.0 * c@ + d@)`,
+            `; |f@ = y@ + s * (k@ + 2.0 * b@ + 2.0 * c@ + d@)`
             # the first half step
             q = 0.5 * hh
-            m = eta + q
-            r = `b@`, = rhs(m, [`y@ + q * k@`])
-            r = `c@`, = rhs(m, [`y@ + q * b@`])
-            r = `d@`, = rhs(mid, [`y@ + hh * c@`])
+            r = `b@`, = rhs(eta + q, [`y@ + q * k@`])
+            r = `c@`, = rhs(eta + q, [`y@ + q * b@`])
+            r = `d@`, = rhs(eta + hh, [`y@ + hh * c@`])
             s = hh / 6.0
-            `u@`, = `y@ + s * (k@ + 2.0 * b@ + 2.0 * c@ + d@)`,
+            `; |u@ = y@ + s * (k@ + 2.0 * b@ + 2.0 * c@ + d@)`
             # the second half step
-            r = `a@`, = rhs(mid, [`u@`])
-            m = mid + q
-            r = `b@`, = rhs(m, [`u@ + q * a@`])
-            r = `c@`, = rhs(m, [`u@ + q * b@`])
-            r = `d@`, = rhs(mid + hh, [`u@ + hh * c@`])
-            `t@`, = `u@ + s * (a@ + 2.0 * b@ + 2.0 * c@ + d@)`,
-            `e@`, = `abs(t@ - f@) / (abs_tol + rel_tol * abs(y@))`,
+            r = `a@`, = rhs(eta + hh, [`u@`])
+            r = `b@`, = rhs(eta + hh + q, [`u@ + q * a@`])
+            r = `c@`, = rhs(eta + hh + q, [`u@ + q * b@`])
+            r = `d@`, = rhs(eta + hh + hh, [`u@ + hh * c@`])
+            `; |t@ = u@ + s * (a@ + 2.0 * b@ + 2.0 * c@ + d@)`
+            `; |e@ = abs(t@ - f@) / (abs_tol + rel_tol * abs(y@))`
             # A finite sum means finite t and f (a non-finite one gives an inf or NaN
             # term) and no NaN; the ratio is then the max, as no term is negative.
             if ` + |e@` < _INF:
@@ -378,7 +378,7 @@ def march(rhs, eta, end, h, y, k, abs_tol, rel_tol, min_step, max_step, max_step
                 ratio = _nonfinite_ratio(eta, (`e@`,), (`f@`,), (`t@`,))
             if ratio <= 1.0:
                 eta = end if last else eta + h
-                `y@`, = `t@ + (t@ - f@) / 15.0`,
+                `; |y@ = t@ + (t@ - f@) / 15.0`
                 rows.append((eta, `y@`))
                 r = `k@`, = rhs(eta, [`y@`])
                 # x - x is 0.0 for a finite x and NaN otherwise; it cannot overflow.

@@ -18,9 +18,10 @@ __all__ = [
 class DegenerateFarFieldError(IntegrationError):
     """``far_slope + sqrt(h*)`` was not a positive finite number.
 
-    This is the algebraic signature of a diverged IVP (or an invalid h*):
-    the group parameter would not be real.  A sign -1 probe raises it at the
-    first sample where f' + sqrt(h*) <= 0, with ``eta`` locating that sample.
+    As h* is checked positive and finite, this is the algebraic signature of a
+    diverged IVP: the group parameter would not be real.  A sign -1 probe
+    raises it at the first sample where f' + sqrt(h*) <= 0, with ``eta``
+    locating that sample.
     """
 
 
@@ -44,13 +45,11 @@ class GammaEvaluation(Record):
     @classmethod
     def from_far_field(cls, h_star: float, far_slope: float,
                        far_slope_sensitivity: float | None = None):
-        if not float(h_star) > 0:
-            raise ValueError(f"h* must be positive, got {h_star}")
+        check_positive("h*", h_star)
         radicand = far_slope + math.sqrt(h_star)
         if not math.isfinite(radicand) or radicand <= 0:
             raise DegenerateFarFieldError(
-                f"far_slope + sqrt(h*) = {radicand:.6g} is not positive; "
-                "the starred IVP diverged or h* is invalid"
+                f"far_slope + sqrt(h*) = {radicand:.6g} is not positive; the starred IVP diverged"
             )
         lam = math.sqrt(radicand)
         value = h_star / lam ** 4 - 1.0

@@ -429,7 +429,7 @@ class TestRhsContract:
         frames = [frame for frame in traceback.extract_tb(err.value.__traceback__)
                   if frame.filename == "<itmflow.ode march dim=3>"]
         assert len(frames) == 1
-        assert frames[0].line.startswith("r = c0, c1, c2, = rhs(mid, [y0 + hh * b0,")
+        assert frames[0].line.startswith("r = c0, c1, c2, = rhs(eta + hh, [y0 + hh * b0,")
 
     def test_ndarray_rhs_still_integrates(self):
         # numpy scalars in place of floats: the same arithmetic, bit for bit

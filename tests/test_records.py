@@ -9,7 +9,8 @@ import re
 import pytest
 
 from itmflow import (SIMILARITY_SYSTEM, GammaEvaluation, ItmConfig, ItmIterate, ItmResult,
-                     IvpSpec, OdeSystem, ScanGrid, ScanReport, ScanSample, StepControl, TopferResult)
+                     IvpSpec, OdeSystem, ScanGrid, ScanReport, ScanSample, StepControl, TopferResult,
+                     augmented_ic, evaluate_gamma_at, sakiadis_star_ic)
 from itmflow.cli import Report
 
 STEP_CONTROL_REPR = ("StepControl(abs_tol=1e-06, rel_tol=1e-06, initial_step=0.01, "
@@ -132,3 +133,21 @@ CHECKS = [
 def test_checks_give_their_full_message(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+# Each function that takes an h* checks it as the records check their values.  A table
+# of its own: the message table's ids are its messages, which would repeat here.
+H_STAR_TAKERS = {
+    "sakiadis_star_ic": sakiadis_star_ic,
+    "augmented_ic": augmented_ic,
+    "evaluate_gamma_at": evaluate_gamma_at,
+    "GammaEvaluation.from_far_field": lambda h_star: GammaEvaluation.from_far_field(h_star, 1.0),
+}
+
+
+@pytest.mark.parametrize("h_star", [math.inf, 0.0])
+@pytest.mark.parametrize("take", H_STAR_TAKERS.values(), ids=H_STAR_TAKERS)
+def test_h_star_checks_give_their_full_message(take, h_star):
+    message = f"h* must be positive and finite, got {h_star}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        take(h_star)
