@@ -176,7 +176,7 @@ def cmd_sakiadis(args) -> Report:
                "gamma_evaluations": result.gamma_evaluations},
         verdict="converged" if result.converged else "not_converged",
         table=table,
-        csv=_csv("eta,f,df,ddf", result.rescaled_solution.rows()) if result.converged else None,
+        csv=_csv("eta,f,df,ddf", result.rescaled_solution.rows) if result.converged else None,
         verbose=f"backend={BACKEND} root_finder={args.root_finder} "
                 f"gamma_evaluations={result.gamma_evaluations}",
     )
@@ -202,7 +202,7 @@ def cmd_blasius(args) -> Report:
                "wall_shear": result.wall_shear},
         verdict="converged",
         table=table,
-        csv=_csv("eta,f,df,ddf", result.rescaled_solution.rows()),
+        csv=_csv("eta,f,df,ddf", result.rescaled_solution.rows),
         verbose=f"backend={BACKEND} accepted_eta={result.accepted_eta}",
     )
 

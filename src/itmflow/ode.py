@@ -266,21 +266,23 @@ class StepControl(Record):
             raise ValueError(f"stop must be callable or None, got {self.stop!r}")
 
 
-class Trajectory:
-    """Accepted integration samples, held as ``(eta, *state)`` float tuples.
+class Trajectory(Record):
+    """Accepted integration samples, a record like the package's others.
 
-    ``Trajectory(rows)`` coerces each row to floats; it needs at least two
-    rows of one length, with strictly increasing etas.  ``rows()`` gives the
-    samples and ``final_state`` the last state; an IVP's first eta is its start
-    and its last eta its end.  ``np.array(traj.rows())`` is the ``(n, 1 + dim)``
-    array of the samples: column 0 holds the etas, columns ``1:`` the states.
+    ``rows`` holds every sample as an ``(eta, *state)`` tuple of floats
+    (``np.float64`` states where the rhs returns ndarrays), and ``final_state``
+    the last state; an IVP's first eta is its start and its last eta its end.
+    ``Trajectory(rows)`` coerces each row to floats; it needs at least two rows
+    of one length, with strictly increasing etas.  ``np.array(traj.rows)`` is
+    the ``(n, 1 + dim)`` array of the samples: column 0 holds the etas,
+    columns ``1:`` the states.
     """
 
-    __slots__ = ("_rows",)
+    rows: tuple[tuple[float, ...], ...]
 
-    def __init__(self, rows):
+    def __post_init__(self):
         try:
-            rows = [_float_tuple(row) for row in rows]
+            rows = [_float_tuple(row) for row in self.rows]
             if len(set(map(len, rows))) > 1 or not all(rows):
                 raise ValueError
         except (TypeError, ValueError):
@@ -300,23 +302,18 @@ class Trajectory:
         etas = [row[0] for row in rows]
         if not all(map(operator.lt, etas, etas[1:])):
             raise ValueError("trajectory etas must be strictly increasing")
-        self._rows = tuple(rows)
-
-    def rows(self) -> tuple[tuple[float, ...], ...]:
-        """Every sample as an ``(eta, *state)`` tuple of floats (``np.float64``
-        states where the rhs returns ndarrays)."""
-        return self._rows
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def dim(self) -> int:
-        return len(self._rows[0]) - 1
+        return len(self.rows[0]) - 1
 
     @property
     def final_state(self) -> tuple[float, ...]:
-        return self._rows[-1][1:]
+        return self.rows[-1][1:]
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
 
 # The adaptive step-doubling march for one system dimension: from the state y

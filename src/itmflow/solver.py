@@ -241,7 +241,7 @@ def solve_sakiadis(config: ItmConfig | None = None) -> ItmResult:
     return ItmResult(iterates=iterates, converged=True, final_h_star=accepted.h_star,
                      final_lambda=accepted.lam, final_wall_shear=accepted.wall_shear,
                      rescaled_solution=rescale_trajectory(
-                         accepted.lam, Trajectory._from_rows([row[:4] for row in traj.rows()])))
+                         accepted.lam, Trajectory._from_rows([row[:4] for row in traj.rows])))
 
 
 def solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0, 10.0),
@@ -279,7 +279,7 @@ def solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0, 10.0),
     state = blasius_star_ic()
     for start, boundary in zip([0.0] + checks, checks):
         piece = integrate_adaptive(IvpSpec(start, boundary, state, SIMILARITY_SYSTEM), control)
-        rows += piece.rows()[1:] if rows else piece.rows()  # a later piece repeats the last sample
+        rows += piece.rows[1:] if rows else piece.rows  # a later piece repeats the last sample
         state = piece.final_state
         lam, wall_shear = topfer_reduce(state[1])
         if accepted is None and lambda_checks and abs(lam - lambda_checks[-1][1]) <= agreement_tol:

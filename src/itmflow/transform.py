@@ -74,7 +74,7 @@ def rescale_trajectory(lam: float, star_traj: Trajectory) -> Trajectory:
         raise ValueError(f"rescaling expects a 3-component trajectory, got dim {star_traj.dim}")
     s1, s2, s3 = lam ** -1, lam ** -2, lam ** -3
     return Trajectory._from_rows([(lam * eta, f * s1, fp * s2, fpp * s3)
-                                  for eta, f, fp, fpp in star_traj.rows()])
+                                  for eta, f, fp, fpp in star_traj.rows])
 
 
 def topfer_reduce(far_slope: float) -> tuple[float, float]:

@@ -160,7 +160,7 @@ def test_criterion_08_rescaling_contract():
     control = StepControl(max_step=0.02)
     res = solve_sakiadis(ItmConfig(step_control=control))
     sol = res.rescaled_solution
-    table = np.array(sol.rows())
+    table = np.array(sol.rows)
     etas, states = table[:, 0], table[:, 1:]
     idx = np.unique(np.linspace(1, len(sol) - 2, 20).astype(int))
     worst = 0.0

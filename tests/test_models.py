@@ -65,7 +65,7 @@ class TestInitialConditions:
     def test_blasius_slope_monotone(self):
         spec = IvpSpec(0.0, 6.0, blasius_star_ic(), SIMILARITY_SYSTEM)
         traj = integrate_adaptive(spec)
-        assert np.all(np.diff([row[2] for row in traj.rows()]) > 0)
+        assert np.all(np.diff([row[2] for row in traj.rows]) > 0)
 
     @pytest.mark.parametrize("h_star, sign, expected", [
         (2.5, -1, [0.0, 1.5811388300841898, -1.0]),

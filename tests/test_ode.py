@@ -96,8 +96,8 @@ class TestIntegrateFixed:
         spec = IvpSpec(0.0, 10.0, np.array([3.0]), ZERO_1D)
         traj = integrate_adaptive(spec, _pinned(0.5))
         assert len(traj) == 21
-        assert {row[1:] for row in traj.rows()} == {(3.0,)}
-        assert traj.rows()[0][0] == 0.0 and traj.rows()[-1][0] == 10.0
+        assert {row[1:] for row in traj.rows} == {(3.0,)}
+        assert traj.rows[0][0] == 0.0 and traj.rows[-1][0] == 10.0
 
     def test_harmonic_oscillator_period(self):
         spec = IvpSpec(0.0, 2.0 * math.pi, np.array([1.0, 0.0]), HARMONIC)
@@ -107,7 +107,7 @@ class TestIntegrateFixed:
     def test_partial_final_step_lands_on_end(self):
         spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
         traj = integrate_adaptive(spec, _pinned(0.3))
-        assert traj.rows()[-1][0] == 1.0
+        assert traj.rows[-1][0] == 1.0
         assert len(traj) == 5
 
     def test_nonautonomous_rhs(self):
@@ -120,7 +120,7 @@ class TestIntegrateAdaptive:
     def test_zero_rhs_single_accepted_macro_steps(self):
         spec = IvpSpec(0.0, 10.0, np.array([7.0]), ZERO_1D)
         traj = integrate_adaptive(spec)
-        assert {row[1:] for row in traj.rows()} == {(7.0,)}
+        assert {row[1:] for row in traj.rows} == {(7.0,)}
         # zero error estimate -> every step accepted, growth capped at 5x
         assert len(traj) < 12
 
@@ -145,27 +145,27 @@ class TestIntegrateAdaptive:
     def test_endpoints_exact(self):
         spec = IvpSpec(0.25, 0.73, np.array([1.0]), EXP_1D)
         traj = integrate_adaptive(spec)
-        assert traj.rows()[0][0] == 0.25
-        assert traj.rows()[-1][0] == 0.73
+        assert traj.rows[0][0] == 0.25
+        assert traj.rows[-1][0] == 0.73
         # a step cap that does not divide the span: the last step is cut short
         spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
         traj = integrate_adaptive(spec, StepControl(max_step=0.3))
-        assert traj.rows()[0][0] == 0.0
-        assert traj.rows()[-1][0] == 1.0
-        assert traj.rows()[0][1:] == spec.initial_state
+        assert traj.rows[0][0] == 0.0
+        assert traj.rows[-1][0] == 1.0
+        assert traj.rows[0][1:] == spec.initial_state
 
     def test_max_step_below_default_initial_step(self):
         spec = IvpSpec(0.0, 1.0, np.array([1.0]), EXP_1D)
         traj = integrate_adaptive(spec, StepControl(max_step=0.005))
-        assert traj.rows()[-1][0] == 1.0
-        assert np.diff([row[0] for row in traj.rows()]).max() <= 0.005 * (1 + 1e-9)
+        assert traj.rows[-1][0] == 1.0
+        assert np.diff([row[0] for row in traj.rows]).max() <= 0.005 * (1 + 1e-9)
 
     def test_deterministic_bitwise(self):
         ic = np.array([0.0, math.sqrt(2.5), -1.0])
         spec = IvpSpec(0.0, 10.0, ic, SIMILARITY_SYSTEM)
         a = integrate_adaptive(spec)
         b = integrate_adaptive(spec)
-        assert a.rows() == b.rows()
+        assert a.rows == b.rows
 
     def test_nonfinite_rhs_raises_blowup(self):
         def bad(eta, y):
@@ -179,7 +179,7 @@ class TestIntegrateAdaptive:
         # Two components of 1e308 sum to inf; the finiteness check must not.
         spec = IvpSpec(0.0, 1.0, [1e308, 1e308], OdeSystem(lambda eta, y: [0.0, 0.0], 2))
         traj = integrate_adaptive(spec)
-        assert traj.rows()[-1][0] == 1.0 and traj.final_state == (1e308, 1e308)
+        assert traj.rows[-1][0] == 1.0 and traj.final_state == (1e308, 1e308)
 
     def test_nonfinite_last_slope_raises_blowup_at_end(self):
         # The slope at the last accepted sample is never stepped from, but is checked.
@@ -237,7 +237,7 @@ class TestIntegrateAdaptive:
         traj = integrate_adaptive(IvpSpec(0.0, 10.0, [0.0], system),
                                   StepControl(initial_step=10.0, max_step=10.0))
         assert ratios == [math.inf]
-        assert traj.rows()[1][0] == 1.0 and math.isfinite(traj.final_state[0])
+        assert traj.rows[1][0] == 1.0 and math.isfinite(traj.final_state[0])
 
     def test_step_underflow(self):
         # near the pole of y' = y^2 the controller needs steps below min_step
@@ -258,8 +258,8 @@ class TestTerminalEvent:
         seen = []
         control = StepControl(stop=lambda eta, y: seen.append((eta, y)))
         traj = integrate_adaptive(IvpSpec(0.0, 1.0, np.array([1.0, 0.0]), HARMONIC), control)
-        assert [eta for eta, _ in seen] == [row[0] for row in traj.rows()[1:]]
-        assert [y for _, y in seen] == [list(row[1:]) for row in traj.rows()[1:]]
+        assert [eta for eta, _ in seen] == [row[0] for row in traj.rows[1:]]
+        assert [y for _, y in seen] == [list(row[1:]) for row in traj.rows[1:]]
         assert all(type(y) is list for _, y in seen)
 
     def test_stop_gets_its_own_list(self):
@@ -272,7 +272,7 @@ class TestTerminalEvent:
         control = StepControl(stop=lambda eta, y: seen.append((eta, *y)))
         traj = integrate_adaptive(IvpSpec(0.0, 1.0, [0.0, 0.0], OdeSystem(overwriting, 2)),
                                   control)
-        assert seen == list(traj.rows()[1:])
+        assert seen == list(traj.rows[1:])
 
     def test_stop_ends_the_march(self):
         def stop(eta, y):
@@ -335,8 +335,8 @@ class TestRhsContract:
 
         spec = IvpSpec(0.0, 1.0, np.zeros(2), OdeSystem(overwriting, 2))
         traj = integrate_adaptive(spec)
-        assert traj.rows()[0][1:] == (0.0, 0.0)
-        assert {row[1:] for row in traj.rows()} <= set(given)
+        assert traj.rows[0][1:] == (0.0, 0.0)
+        assert {row[1:] for row in traj.rows} <= set(given)
 
     @pytest.mark.parametrize("integrate", [integrate_adaptive], ids=["adaptive"])
     @pytest.mark.parametrize("shape", [(1,), (2,), (4,), (1, 3), (3, 1)], ids=str)
@@ -439,7 +439,7 @@ class TestRhsContract:
         ic = sakiadis_star_ic(2.5)
         lists = integrate_adaptive(IvpSpec(0.0, 10.0, ic, SIMILARITY_SYSTEM))
         arrays = integrate_adaptive(IvpSpec(0.0, 10.0, ic, OdeSystem(as_ndarray, 3)))
-        assert arrays.rows() == lists.rows()
+        assert arrays.rows == lists.rows
 
 
 class TestInlinedRhs:
@@ -448,7 +448,7 @@ class TestInlinedRhs:
     @staticmethod
     def _outcome(spec, control):
         try:
-            return integrate_adaptive(spec, control).rows()
+            return integrate_adaptive(spec, control).rows
         except IntegrationError as exc:
             return type(exc), str(exc), exc.eta
 
@@ -493,7 +493,7 @@ class TestInlinedRhs:
         rows = ode._march(system.dim, system._text)(
             None, 0.0, 10.0, 0.01, ic, tuple(system.rhs(0.0, list(ic))),
             1e-6, 1e-6, 1e-12, 2.5, 10 ** 6, None)
-        assert rows == list(traj.rows())
+        assert rows == list(traj.rows)
 
 
 class TestTrajectory:
@@ -508,7 +508,7 @@ class TestTrajectory:
 
     def test_rows_and_final_state_are_floats(self, trajectories):
         for traj in trajectories:
-            rows = traj.rows()
+            rows = traj.rows
             assert len(rows) == len(traj) and {len(row) for row in rows} == {1 + traj.dim}
             assert all(type(v) is float for row in rows for v in row)
             assert traj.final_state == rows[-1][1:]
@@ -516,8 +516,8 @@ class TestTrajectory:
     def test_constructor_coerces_arrays_to_float_rows(self):
         for rows in ([(0, 1, 2), (1, 3, 4)], np.array([[0, 1, 2], [1, 3, 4]])):
             traj = Trajectory(rows)
-            assert traj.rows() == ((0.0, 1.0, 2.0), (1.0, 3.0, 4.0))
-            assert all(type(v) is float for row in traj.rows() for v in row)
+            assert traj.rows == ((0.0, 1.0, 2.0), (1.0, 3.0, 4.0))
+            assert all(type(v) is float for row in traj.rows for v in row)
 
     def test_arrays_are_built_on_first_read(self, fresh_python):
         # Integrating and reading the rows loads no numpy.
@@ -525,7 +525,7 @@ class TestTrajectory:
             "import sys\n"
             "from itmflow import IvpSpec, SIMILARITY_SYSTEM, integrate_adaptive\n"
             "traj = integrate_adaptive(IvpSpec(0.0, 1.0, [0.0, 0.0, 1.0], SIMILARITY_SYSTEM))\n"
-            "print(len(traj.rows()) > 1, traj.final_state[2] < 1.0, 'numpy' in sys.modules)\n")
+            "print(len(traj.rows) > 1, traj.final_state[2] < 1.0, 'numpy' in sys.modules)\n")
         assert child.stdout == "True True False\n"
 
 

@@ -146,7 +146,7 @@ def _assert_same(library, reference):
     assert len(calls) == len(ref_calls)
     assert calls == ref_calls
     if isinstance(ref_result, Trajectory):
-        assert result.rows() == ref_result.rows()
+        assert result.rows == ref_result.rows
     else:
         kind, message, eta = result
         ref_kind, ref_message, ref_eta = ref_result

@@ -10,7 +10,7 @@ import pytest
 
 from itmflow import (SIMILARITY_SYSTEM, GammaEvaluation, ItmConfig, ItmIterate, ItmResult,
                      IvpSpec, OdeSystem, ScanGrid, ScanReport, ScanSample, StepControl, TopferResult,
-                     augmented_ic, evaluate_gamma_at, sakiadis_star_ic)
+                     Trajectory, augmented_ic, evaluate_gamma_at, sakiadis_star_ic)
 from itmflow.cli import Report
 
 STEP_CONTROL_REPR = ("StepControl(abs_tol=1e-06, rel_tol=1e-06, initial_step=0.01, "
@@ -25,6 +25,7 @@ RECORDS = [
     ItmIterate(0, 2.5, 1.06, 0.97, -0.84),
     ScanGrid(0.5, 3.5, 4),
     ScanSample(2.5, 0.125, 1.0, False),
+    Trajectory([(0.0, 0.0, 1.0, -1.0), (0.5, 0.4, 0.6, -0.5)]),
     ItmResult([], False),
     TopferResult([], 10.0, 1.0, 0.33, None),
     ScanReport([], [], "no_zero"),
@@ -44,6 +45,7 @@ def test_repr():
         "ScanSample(h_star=2.5, gamma=0.125, lam=1.0, failed=False)")
     assert repr(ScanSample(2.5, math.nan, math.nan, True)) == (
         "ScanSample(h_star=2.5, gamma=nan, lam=nan, failed=True)")
+    assert repr(Trajectory([(0, 1), (1, 2)])) == "Trajectory(rows=((0.0, 1.0), (1.0, 2.0)))"
 
 
 def test_equality_and_hash():
@@ -55,6 +57,10 @@ def test_equality_and_hash():
     assert hash(ItmConfig(h0=2.0)) == hash(ItmConfig(h0=2.0))
     assert ItmConfig() != ItmConfig(sign=1)
     assert ItmResult([], False) == ItmResult([], False)
+    one, two = Trajectory([(0, 1), (1, 2)]), Trajectory([(0.0, 1.0), (1.0, 2.0)])
+    assert one is not two and one == two and hash(one) == hash(two)
+    assert one != Trajectory([(0.0, 1.0), (1.0, 3.0)])
+    assert one != ((0.0, 1.0), (1.0, 2.0))
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -98,6 +104,7 @@ def test_step_control_signature():
     StepControl(abs_tol=1e-8, max_steps=100),
     ItmConfig(root_finder="newton", h0=3.0, step_control=StepControl(rel_tol=1e-9)),
     IvpSpec(0.0, 10.0, (0.0, 1.0, -1.0), SIMILARITY_SYSTEM),
+    Trajectory([(0.0, 0.0, 1.0, -1.0), (0.5, 0.4, 0.6, -0.5)]),
 ], ids=lambda r: type(r).__name__)
 def test_pickle_and_deepcopy_round_trip(record):
     for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):

@@ -1,6 +1,8 @@
 """Root-finding drivers: secant/Newton transformation iterations and Topfer."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -286,8 +288,8 @@ class TestRescaledSolution:
     def test_boundary_conditions(self):
         res = solve_sakiadis()
         sol = res.rescaled_solution
-        assert sol.rows()[0][1] == 0.0
-        assert abs(sol.rows()[0][2] - 1.0) <= 1e-9
+        assert sol.rows[0][1] == 0.0
+        assert abs(sol.rows[0][2] - 1.0) <= 1e-9
         assert abs(sol.final_state[1]) <= 1e-3
 
     def test_far_slope_identity_at_root(self):
@@ -298,8 +300,27 @@ class TestRescaledSolution:
 
     def test_span_stretches_by_lambda(self):
         res = solve_sakiadis()
-        assert res.rescaled_solution.rows()[-1][0] == pytest.approx(
+        assert res.rescaled_solution.rows[-1][0] == pytest.approx(
             res.final_lambda * 10.0, rel=1e-12)
+
+
+class TestResultsCompareByValue:
+    @pytest.mark.parametrize("solve", [
+        solve_sakiadis,
+        lambda: solve_sakiadis(ItmConfig(root_finder="newton", h1=None)),
+        solve_blasius_topfer,
+    ], ids=["secant", "newton", "topfer"])
+    def test_two_solves_are_equal(self, solve):
+        one, two = solve(), solve()
+        assert one is not two and one == two
+        assert hash(one.rescaled_solution) == hash(two.rescaled_solution)
+
+    def test_copies_of_a_converged_result_are_equal(self):
+        res = solve_sakiadis()
+        assert res.converged
+        for copied in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
+            assert copied is not res and copied == res
+            assert repr(copied) == repr(res)
 
 
 class TestItmConfigValidation:
@@ -380,8 +401,8 @@ class TestTopfer:
     def test_rescaled_far_slope_is_unity(self):
         res = solve_blasius_topfer()
         sol = res.rescaled_solution
-        assert sol.rows()[0][1] == 0.0
-        assert sol.rows()[0][2] == 0.0
+        assert sol.rows[0][1] == 0.0
+        assert sol.rows[0][2] == 0.0
         assert abs(sol.final_state[1] - 1.0) <= 1e-5
 
     @pytest.mark.parametrize("kwargs, message", [

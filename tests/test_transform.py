@@ -96,13 +96,13 @@ class TestRescaling:
     def test_identity_group_leaves_trajectory(self):
         traj = self._toy_trajectory()
         out = rescale_trajectory(1.0, traj)
-        assert out.rows() == traj.rows()
+        assert out.rows == traj.rows
 
     def test_single_sample_power_arithmetic(self):
         traj = self._toy_trajectory()
         out = rescale_trajectory(2.0, traj)
-        assert out.rows()[1][0] == 2.0
-        assert np.allclose(out.rows()[1][1:], [1.0, 1.0, 1.0])
+        assert out.rows[1][0] == 2.0
+        assert np.allclose(out.rows[1][1:], [1.0, 1.0, 1.0])
 
     def test_group_closure(self):
         ic = sakiadis_star_ic(2.5)
@@ -110,7 +110,7 @@ class TestRescaling:
         traj = integrate_adaptive(spec)
         one = rescale_trajectory(1.3, rescale_trajectory(0.8, traj))
         two = rescale_trajectory(1.3 * 0.8, traj)
-        one, two = np.array(one.rows()), np.array(two.rows())
+        one, two = np.array(one.rows), np.array(two.rows)
         assert np.allclose(one[:, 0], two[:, 0], rtol=1e-14, atol=0)
         assert np.allclose(one[:, 1:], two[:, 1:], rtol=1e-13, atol=1e-16)
 
@@ -123,8 +123,8 @@ class TestRescaling:
         out = rescale_trajectory(lam, star)
         slope_scale = np.array([lam ** -2, lam ** -3, lam ** -4])
         for i in (0, len(out) // 2, len(out) - 1):
-            assert np.allclose(SIMILARITY_SYSTEM.rhs(0.0, out.rows()[i][1:]),
-                               SIMILARITY_SYSTEM.rhs(0.0, star.rows()[i][1:]) * slope_scale,
+            assert np.allclose(SIMILARITY_SYSTEM.rhs(0.0, out.rows[i][1:]),
+                               SIMILARITY_SYSTEM.rhs(0.0, star.rows[i][1:]) * slope_scale,
                                rtol=1e-12, atol=1e-15)
 
     def test_requires_three_components(self):
