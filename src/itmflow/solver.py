@@ -13,7 +13,7 @@ from .models import (AUGMENTED_SYSTEM, SIMILARITY_SYSTEM, VALID_SIGNS,
                      augmented_ic, blasius_star_ic, sakiadis_star_ic)
 from .ode import (IvpSpec, Record, StepControl, Trajectory, check_count, check_positive,
                   integrate_adaptive)
-from .transform import DegenerateFarFieldError, GammaEvaluation, rescale_trajectory, topfer_reduce
+from .transform import DegenerateFarFieldError, GammaEvaluation, rescale_trajectory
 
 __all__ = [
     "SECANT", "NEWTON", "ItmConfig", "ItmIterate", "ItmResult", "TopferResult",
@@ -93,7 +93,9 @@ class ItmIterate(Record):
 
 
 class ItmResult(Record):
-    """Outcome of an ITM solve; final fields are ``None`` when not converged."""
+    """Outcome of an ITM solve; final fields are ``None`` when not converged.
+
+    ``final_wall_shear`` is ``rescaled_solution``'s first-row f''(0) to the last bit."""
 
     iterates: list[ItmIterate]
     converged: bool
@@ -108,7 +110,9 @@ class ItmResult(Record):
 
 
 class TopferResult(Record):
-    """Topfer reduction outcome: per-boundary parameters and the accepted values."""
+    """Topfer reduction outcome: per-boundary parameters and the accepted values.
+
+    ``wall_shear`` is ``rescaled_solution``'s first-row f''(0)."""
 
     lambda_checks: list[tuple[float, float]]
     accepted_eta: float
@@ -191,9 +195,9 @@ def solve_sakiadis(config: ItmConfig | None = None) -> ItmResult:
             lam, gamma, slope = evaluation.lam, evaluation.gamma, evaluation.dgamma_dh
         except DegenerateFarFieldError:
             lam, gamma = math.nan, math.inf
-        # The missing initial curvature maps back as lam^-3 f*''(0).
+        # The missing initial curvature maps back as f*''(0) lam^-3, as rescale_trajectory maps it.
         iterates.append(ItmIterate(j=len(iterates), h_star=float(h_star), lam=lam,
-                                   gamma=gamma, wall_shear=float(config.sign) / lam ** 3))
+                                   gamma=gamma, wall_shear=float(config.sign) * lam ** -3))
         side = gamma > 0.0
         if len(iterates) > 1 and (iterates[-2].gamma > 0.0) == side and (not side) in ends:
             ends[not side][1] *= 0.5  # Illinois: an end kept twice running has its weight halved
@@ -254,10 +258,11 @@ def solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0, 10.0),
     boundary the group parameter is read off the far slope; the first pair
     of subsequent parameters agreeing within ``agreement_tol`` fixes the
     result, and the whole starred trajectory is rescaled back to the
-    original variables.
+    original variables; the reported f''(0) is its first row's.
 
     Raises :class:`TopferAgreementError` (carrying all per-boundary
-    parameters) when no pair agrees.
+    parameters) when no pair agrees, and ``ValueError`` when the accepted
+    far slope is so small (below about 3.14e-206) that the rescale overflows.
     """
     checks = [float(c) for c in eta_checks]
     if not all(map(math.isfinite, checks)):
@@ -275,22 +280,23 @@ def solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0, 10.0),
         raise ValueError(f"step_control must be a StepControl, got {control!r}")
 
     rows, lambda_checks = [], []
-    accepted = None  # (boundary, far slope, lam, wall shear) of the first agreeing boundary
+    accepted = None  # (boundary, far slope, lam) of the first agreeing boundary
     state = blasius_star_ic()
     for start, boundary in zip([0.0] + checks, checks):
         piece = integrate_adaptive(IvpSpec(start, boundary, state, SIMILARITY_SYSTEM), control)
         rows += piece.rows[1:] if rows else piece.rows  # a later piece repeats the last sample
         state = piece.final_state
-        lam, wall_shear = topfer_reduce(state[1])
+        check_positive("far slope", state[1])
+        lam = state[1] ** -0.5
         if accepted is None and lambda_checks and abs(lam - lambda_checks[-1][1]) <= agreement_tol:
-            accepted = boundary, state[1], lam, wall_shear
+            accepted = boundary, state[1], lam
         lambda_checks.append((boundary, lam))
     if accepted is None:
         raise TopferAgreementError(
             "no subsequent truncated-boundary parameters agree within "
             f"{agreement_tol:.3g}", lambda_checks
         )
-    accepted_eta, far, lam, wall_shear = accepted
+    accepted_eta, far, lam = accepted
     # The starred->original map stretches eta by sqrt(far slope), the
     # reciprocal of the reported parameter.
     rescaled = rescale_trajectory(far ** 0.5, Trajectory._from_rows(rows))
@@ -298,6 +304,6 @@ def solve_blasius_topfer(eta_checks=(4.0, 6.0, 8.0, 10.0),
         lambda_checks=lambda_checks,
         accepted_eta=accepted_eta,
         accepted_lambda=lam,
-        wall_shear=wall_shear,
+        wall_shear=rescaled.rows[0][3],
         rescaled_solution=rescaled,
     )

@@ -11,7 +11,7 @@ import math
 from .ode import IntegrationError, Record, Trajectory, check_positive
 
 __all__ = [
-    "DegenerateFarFieldError", "GammaEvaluation", "rescale_trajectory", "topfer_reduce",
+    "DegenerateFarFieldError", "GammaEvaluation", "rescale_trajectory",
 ]
 
 
@@ -67,26 +67,17 @@ def rescale_trajectory(lam: float, star_traj: Trajectory) -> Trajectory:
 
     Each sample ``(eta*, f*, f*', f*'')`` becomes
     ``(lam eta*, f*/lam, f*'/lam^2, f*''/lam^3)``: one correctly rounded
-    product per entry, as the ndarray broadcast gives.
+    product per entry, as the ndarray broadcast gives.  This is the one
+    starred -> original map: every f''(0) a solve reports is the first row's.
+    Raises ``ValueError`` unless ``lam`` is positive, finite and at least
+    about 1.78e-103, below which ``lam**-3`` overflows.
     """
     check_positive("group parameter", lam)
     if star_traj.dim != 3:
         raise ValueError(f"rescaling expects a 3-component trajectory, got dim {star_traj.dim}")
-    s1, s2, s3 = lam ** -1, lam ** -2, lam ** -3
+    try:
+        s1, s2, s3 = lam ** -1, lam ** -2, lam ** -3
+    except OverflowError:
+        raise ValueError(f"group parameter {lam:.6g} is too small: lam**-3 overflows") from None
     return Trajectory._from_rows([(lam * eta, f * s1, fp * s2, fpp * s3)
                                   for eta, f, fp, fpp in star_traj.rows])
-
-
-def topfer_reduce(far_slope: float) -> tuple[float, float]:
-    """Blasius non-iterative reduction of the starred far slope.
-
-    Returns ``(lam, wall_shear)`` with ``lam = far_slope**-0.5`` and
-    ``wall_shear = far_slope**-1.5`` (the rescaled f''(0) for unit starred
-    curvature).  Raises ``ValueError`` unless the far slope is positive,
-    finite and above about 3.14e-206, below which ``far_slope**-1.5`` overflows.
-    """
-    check_positive("far slope", far_slope)
-    try:
-        return far_slope ** -0.5, far_slope ** -1.5
-    except OverflowError:
-        raise ValueError(f"far slope {far_slope:.6g} is too small: far_slope**-1.5 overflows") from None

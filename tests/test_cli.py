@@ -68,17 +68,26 @@ class TestExitCodes:
         assert "not converged" in out
 
     def test_topfer_disagreement_exit(self, capsys):
-        # 1e-200 is still above the far slope whose wall shear overflows
+        # Agreement is checked before the rescale, so tiny boundaries that
+        # disagree exit 2 however small their far slopes are
         for argv in (("4,6", "--agreement-tol", "1e-9"), ("1e-200,2e-200",)):
             code, _, err = run_cli(capsys, "blasius", "--eta-checks", *argv)
             assert code == 2
             assert "agree" in err
 
     def test_topfer_overflowing_wall_shear_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "blasius", "--eta-checks", "1e-300,2e-300")
+        # A tolerance loose enough to accept the parameters 1e150 and 7.07e149
+        # reaches the rescale by sqrt(2e-300), whose lam**-3 overflows; the
+        # default tolerance rejects the pair first
+        code, out, err = run_cli(capsys, "blasius", "--eta-checks", "1e-300,2e-300",
+                                 "--agreement-tol", "1e300")
         assert code == 1
         assert out == ""
-        assert err == "itmflow: far slope 1e-300 is too small: far_slope**-1.5 overflows\n"
+        assert err == "itmflow: group parameter 1.41421e-150 is too small: lam**-3 overflows\n"
+        code, out, err = run_cli(capsys, "blasius", "--eta-checks", "1e-300,2e-300")
+        assert code == 2
+        assert out == ""
+        assert "agree" in err
 
     def test_diverging_seeds_converge(self, capsys):
         # Both seeds lie below the root and are certified: h* doubles until

@@ -8,7 +8,7 @@ import pytest
 
 from itmflow import (DegenerateFarFieldError, GammaEvaluation, IvpSpec,
                      Trajectory, integrate_adaptive, rescale_trajectory,
-                     sakiadis_star_ic, topfer_reduce)
+                     sakiadis_star_ic)
 from itmflow.models import SIMILARITY_SYSTEM
 
 
@@ -139,23 +139,15 @@ class TestRescaling:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             rescale_trajectory(lam, self._toy_trajectory())
 
+    def test_topfer_powers(self):
+        # A Topfer far slope of 4 rescales unit starred curvature by sqrt(4):
+        # the reported f''(0) is exactly 4**-1.5
+        out = rescale_trajectory(4.0 ** 0.5, Trajectory([(0.0, 0.0, 0.0, 1.0), (1.0, 0.5, 1.0, 0.5)]))
+        assert out.rows[0][3] == 4.0 ** -1.5 == 0.125
+        assert out.rows[1] == (2.0, 0.25, 0.25, 0.0625)
 
-class TestTopferReduce:
-    def test_fixed_point(self):
-        assert topfer_reduce(1.0) == (1.0, 1.0)
+    def test_overflowing_power_is_value_error(self):
+        # lam**-3 overflows below about 1.78e-103
+        with pytest.raises(ValueError, match=r"^group parameter 1e-150 is too small: lam\*\*-3 overflows$"):
+            rescale_trajectory(1e-150, self._toy_trajectory())
 
-    def test_direct_powers(self):
-        lam, shear = topfer_reduce(4.0)
-        assert lam == 0.5
-        assert shear == 0.125
-
-    def test_rejects_nonpositive_slope(self):
-        with pytest.raises(ValueError):
-            topfer_reduce(0.0)
-        with pytest.raises(ValueError, match="^far slope must be positive and finite, got inf$"):
-            topfer_reduce(math.inf)
-
-    def test_overflowing_wall_shear_is_value_error(self):
-        # far_slope**-1.5 overflows below about 3.14e-206
-        with pytest.raises(ValueError, match="far slope 1e-300 is too small"):
-            topfer_reduce(1e-300)
