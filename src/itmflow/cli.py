@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 
-from .ode import BACKEND, IntegrationError, Record, StepControl
+from .ode import IntegrationError, Record, StepControl
 from .scan import ScanGrid, scan
 from .solver import (NEWTON, SECANT, ItmConfig, RootFinderBreakdownError,
                      TopferAgreementError, solve_blasius_topfer, solve_sakiadis)
@@ -177,8 +177,7 @@ def cmd_sakiadis(args) -> Report:
         verdict="converged" if result.converged else "not_converged",
         table=table,
         csv=_csv("eta,f,df,ddf", result.rescaled_solution.rows) if result.converged else None,
-        verbose=f"backend={BACKEND} root_finder={args.root_finder} "
-                f"gamma_evaluations={result.gamma_evaluations}",
+        verbose=f"root_finder={args.root_finder} gamma_evaluations={result.gamma_evaluations}",
     )
 
 
@@ -203,7 +202,7 @@ def cmd_blasius(args) -> Report:
         verdict="converged",
         table=table,
         csv=_csv("eta,f,df,ddf", result.rescaled_solution.rows),
-        verbose=f"backend={BACKEND} accepted_eta={result.accepted_eta}",
+        verbose=f"accepted_eta={result.accepted_eta}",
     )
 
 
@@ -228,7 +227,7 @@ def cmd_scan(args) -> Report:
         csv=_csv("h_star,gamma,lambda,failed",
                  [(s.h_star, s.gamma, s.lam, s.failed) for s in report.samples])
             + f"# verdict: {report.verdict}\n",
-        verbose=f"backend={BACKEND} samples={len(report.samples)} failed={failed}",
+        verbose=f"samples={len(report.samples)} failed={failed}",
     )
 
 
@@ -256,7 +255,7 @@ def cmd_compare(args) -> Report:
                f"wall-shear increase: {increase:.2f}%"],
         csv=_csv("blasius_wall_shear,sakiadis_wall_shear,increase_percent",
                  [(blasius, sakiadis, increase)]),
-        verbose=f"backend={BACKEND}",
+        verbose=f"gamma_evaluations={itm.gamma_evaluations} accepted_eta={topfer.accepted_eta}",
     )
 
 

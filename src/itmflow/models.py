@@ -19,13 +19,14 @@ __all__ = [
 VALID_SIGNS = (1, -1)
 
 
-# Each right-hand side is written once, as text: the march computes it inline
-# and the callable ``rhs`` compiles the same expressions.
-# (f, f', f'') -> (f', f'', -f f''/2)
-SIMILARITY_SYSTEM = OdeSystem._from_text("f, fp, fpp", "fp, fpp, -0.5 * f * fpp")
-# (u1..u6) -> (u2, u3, -u1 u3/2, u5, u6, -(u4 u3 + u1 u6)/2)
+# The model is written once, as text: the march computes it inline and the
+# callable ``rhs`` compiles the same expressions.
+_SIMILARITY = ("f, fp, fpp", "fp, fpp, -0.5 * f * fpp")
+SIMILARITY_SYSTEM = OdeSystem._from_text(*_SIMILARITY)
+# The same text with its h*-tangent (df, df', df'') appended.
 AUGMENTED_SYSTEM = OdeSystem._from_text(
-    "u1, u2, u3, u4, u5, u6", "u2, u3, -0.5 * u1 * u3, u5, u6, -0.5 * (u4 * u3 + u1 * u6)")
+    _SIMILARITY[0] + ", df, dfp, dfpp",
+    _SIMILARITY[1] + ", dfp, dfpp, -0.5 * (df * fpp + f * dfpp)")
 
 
 def blasius_star_ic() -> tuple[float, ...]:
@@ -42,11 +43,10 @@ def sakiadis_star_ic(h_star: float, sign: int = -1) -> tuple[float, ...]:
 
 
 def augmented_ic(h_star: float) -> tuple[float, ...]:
-    """Augmented start: (0, sqrt(h*), -1, 0, 1/(2 sqrt(h*)), 0).
+    """The sign -1 Sakiadis start with its h*-tangent (0, 1/(2 sqrt(h*)), 0).
 
     The curvature is pinned to -1: Newton mode only makes sense on the
     branch where the transformation function has its zero.
     """
-    check_positive("h*", h_star)
-    root = math.sqrt(h_star)
-    return (0.0, root, -1.0, 0.0, 0.5 / root, 0.0)
+    start = sakiadis_star_ic(h_star)
+    return start + (0.0, 0.5 / start[1], 0.0)

@@ -33,7 +33,7 @@ __all__ = [
 
 # The one integration kernel: interpreted Python stepping over floats, one
 # unrolled march function per system dimension and one per system written as
-# text.  Reported in run metadata (``--verbose``); not a setting.
+# text.  Not a setting: it stays public only for perfbench's run metadata.
 BACKEND = "numpy"
 
 # Damping of the adaptive march's (tol/err)^(1/5) step-size update.

@@ -26,7 +26,7 @@ INCONCLUSIVE = "inconclusive"
 
 
 class ScanFailedError(IntegrationError):
-    """Every grid point failed to produce a Gamma value."""
+    """Every grid point failed to produce a Gamma value or a certificate."""
 
 
 class ScanGrid(Record):
@@ -122,7 +122,7 @@ def scan(grid: ScanGrid, sign: int, eta_inf_star: float = 10.0,
     bracket touches a grid edge or contains a failed probe.  A probe fails by
     raising an :class:`IntegrationError`; a :class:`DegenerateFarFieldError`
     certifies Gamma = +inf there, and such a probe ends brackets like a
-    positive Gamma.  If no probe gives a Gamma value,
+    positive Gamma.  If no probe gives a Gamma value or a certificate,
     :class:`ScanFailedError` is raised.
     """
     config = ItmConfig(sign=sign, eta_inf_star=eta_inf_star,
@@ -138,7 +138,7 @@ def scan(grid: ScanGrid, sign: int, eta_inf_star: float = 10.0,
             samples.append(ScanSample(h, math.nan, math.nan, True))
             if isinstance(exc, DegenerateFarFieldError):
                 signed.append((h, math.inf))
-    if all(s.failed for s in samples):
+    if not signed:
         raise ScanFailedError(
             f"every probe failed on [{grid.h_min:.6g}, {grid.h_max:.6g}] with sign {sign:+g}"
         )

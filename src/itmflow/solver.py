@@ -130,7 +130,8 @@ def _evaluate(h_star, config):
     Every failed probe raises an :class:`IntegrationError`.  On the sign -1
     branch f' decreases, so the march stops with a
     :class:`DegenerateFarFieldError` at the first accepted sample where
-    ``f' + sqrt(h*) <= 0``: lam^2 <= 0 at the boundary is then certain.
+    ``f' + sqrt(h*) <= 0``: lam^2 <= 0 at the boundary is then certain.  The
+    caller's ``step_control.stop``, if set, runs after that check.
     """
     newton, control = config.root_finder == NEWTON, config.step_control
     if newton:
@@ -138,13 +139,15 @@ def _evaluate(h_star, config):
     else:
         initial, system = sakiadis_star_ic(h_star, config.sign), SIMILARITY_SYSTEM
     if config.sign == -1:
-        root = initial[1]
+        root, stop = initial[1], control.stop
 
         def certify(eta, y):
             if y[1] + root <= 0.0:
                 raise DegenerateFarFieldError(
                     f"f' + sqrt(h*) = {y[1] + root:.6g} is not positive at eta = {eta:.6g}; "
                     "lam^2 <= 0 at the truncated boundary", eta)
+            if stop is not None:
+                stop(eta, y)
 
         control = StepControl(**{**vars(control), "stop": certify})
     traj = integrate_adaptive(IvpSpec(0.0, config.eta_inf_star, initial, system), control)

@@ -31,9 +31,9 @@ class GammaEvaluation(Record):
     Always built through :meth:`from_far_field`, so
     ``lam**2 == far_slope + sqrt(h_star)`` and
     ``gamma == h_star * lam**-4 - 1`` hold by construction.  Given the
-    h*-sensitivity ``u5`` of the far slope, ``dgamma_dh`` is, with
+    h*-sensitivity ``dfp`` of the far slope, ``dgamma_dh`` is, with
     ``t = far_slope + sqrt(h*)``,
-    ``t^-2 (1 - 2 (u5 + 1/(2 sqrt(h*))) h* / t)``.
+    ``t^-2 (1 - 2 (dfp + 1/(2 sqrt(h*))) h* / t)``.
     """
 
     h_star: float

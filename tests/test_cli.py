@@ -179,8 +179,8 @@ class TestSakiadisCommand:
     def test_verbose_metadata_on_stderr(self, capsys):
         code, out, err = run_cli(capsys, "sakiadis", "--verbose")
         assert code == 0
-        assert "backend=" in err
-        assert "backend=" not in out
+        assert "gamma_evaluations=" in err
+        assert "gamma_evaluations=" not in out
 
 
 class TestBlasiusCommand:
@@ -255,9 +255,20 @@ class TestScanCommand:
                                   "multiple_zeros")
 
     def test_all_failed_exit(self, capsys):
+        # Tolerances this tight end every probe uncertified, in a step underflow.
         code, _, err = run_cli(capsys, "scan", "--h-min", "0.5", "--h-max", "1",
-                               "--count", "2", "--sign", "-1")
+                               "--count", "2", "--sign", "-1",
+                               "--abs-tol", "1e-300", "--rel-tol", "1e-300")
         assert code == 3
+        assert err.startswith("itmflow: integration failed: every probe failed")
+
+    def test_all_certified_scan_has_no_zero(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--h-min", "0.5", "--h-max", "2.0",
+                                 "--count", "4", "--format", "csv")
+        assert code == 0
+        assert err == ""
+        assert out.endswith("# verdict: no_zero\n")
+        assert out.count(",true\n") == 4
 
 
 class TestCompareCommand:
@@ -343,16 +354,16 @@ def test_default_output_matches_golden(capsys, stem, fmt):
 
 @pytest.mark.parametrize("argv, expected", [
     (("sakiadis",),
-     "itmflow: backend=numpy root_finder=secant gamma_evaluations=10\n"),
+     "itmflow: root_finder=secant gamma_evaluations=10\n"),
     (("sakiadis", "--root-finder", "newton"),
-     "itmflow: backend=numpy root_finder=newton gamma_evaluations=7\n"),
+     "itmflow: root_finder=newton gamma_evaluations=7\n"),
     (("sakiadis", "--max-iterations", "3", "--format", "csv"),
-     "itmflow: backend=numpy root_finder=secant gamma_evaluations=3\n"
+     "itmflow: root_finder=secant gamma_evaluations=3\n"
      "itmflow: not converged; no trajectory to export\n"),
-    (("blasius",), "itmflow: backend=numpy accepted_eta=6.0\n"),
-    (("scan",), "itmflow: backend=numpy samples=40 failed=4\n"),
-    (("compare",), "itmflow: backend=numpy\n"),
-])
+    (("blasius",), "itmflow: accepted_eta=6.0\n"),
+    (("scan",), "itmflow: samples=40 failed=4\n"),
+    (("compare",), "itmflow: gamma_evaluations=10 accepted_eta=6.0\n"),
+], ids=["sakiadis", "newton", "not-converged-csv", "blasius", "scan", "compare"])
 def test_verbose_stderr_line(capsys, argv, expected):
     _, _, err = run_cli(capsys, *argv, "--verbose")
     assert err == expected

@@ -34,11 +34,19 @@ class TestAugmentedRhs:
         assert np.allclose(out, [1.0, -1.0, 0.0, 0.5, 0.0, 0.0])
 
     def test_embeds_similarity_rhs(self):
+        # The leading block is the similarity rhs; the tangent block is its
+        # derivative along (df, dfp, dfpp), which a central difference of this
+        # quadratic rhs gives exactly, up to rounding.
         rng = np.random.default_rng(42)
+        step = 2.0 ** -10
         for _ in range(20):
             state = rng.normal(size=6)
-            assert np.array_equal(AUGMENTED_SYSTEM.rhs(0.0, state)[:3],
-                                  SIMILARITY_SYSTEM.rhs(0.0, state[:3]))
+            y, dy = state[:3], state[3:]
+            out = AUGMENTED_SYSTEM.rhs(0.0, state)
+            assert np.array_equal(out[:3], SIMILARITY_SYSTEM.rhs(0.0, y))
+            central = (np.array(SIMILARITY_SYSTEM.rhs(0.0, y + step * dy))
+                       - SIMILARITY_SYSTEM.rhs(0.0, y - step * dy)) / (2.0 * step)
+            assert np.allclose(out[3:], central, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("system", [SIMILARITY_SYSTEM, AUGMENTED_SYSTEM],

@@ -134,20 +134,30 @@ class TestVerdicts:
         assert report.verdict == "no_zero"
         assert report.brackets == []
 
+    # Two step attempts end every probe uncertified, with a StepLimitError.
+    STARVED = StepControl(max_steps=2)
+
     def test_all_probes_failing(self):
         with pytest.raises(ScanFailedError):
-            scan(ScanGrid(0.5, 1.0, 2), -1)
+            scan(ScanGrid(0.5, 1.0, 2), -1, step_control=self.STARVED)
 
     @pytest.mark.parametrize("sign", [-1, -1.0])
     def test_all_failed_scan_names_its_sign(self, sign):
         message = r"^every probe failed on \[0\.5, 1\] with sign -1$"
         with pytest.raises(ScanFailedError, match=message):
-            scan(ScanGrid(0.5, 1.0, 3), sign)
+            scan(ScanGrid(0.5, 1.0, 3), sign, step_control=self.STARVED)
 
     def test_all_failed_scan_is_an_integration_error(self):
         with pytest.raises(IntegrationError) as err:
-            scan(ScanGrid(0.3, 1.0, 3), -1)
+            scan(ScanGrid(0.3, 1.0, 3), -1, step_control=self.STARVED)
         assert isinstance(err.value, ScanFailedError)
+
+    def test_all_certified_scan_has_no_zero(self):
+        # Every probe below h* ~ 2.27 is certified Gamma = +inf: no sign change.
+        report = scan(ScanGrid(0.5, 1.0, 2), -1)
+        assert report.verdict == "no_zero"
+        assert report.brackets == []
+        assert all(s.failed for s in report.samples)
 
     def test_degenerate_probe_is_recorded_as_failed(self):
         # At eta_inf* = 15 the h* = 2.5 probe has a degenerate far field.

@@ -284,6 +284,33 @@ class TestCertifiedBracketing:
         assert [it.h_star for it in res.iterates] == [1.0, 2.0, 1.5, 1.25, 1.375, 1.4375]
 
 
+class TestCallerStop:
+    """A sign -1 probe runs the caller's ``stop`` after its own certificate."""
+
+    @pytest.mark.parametrize("root_finder, dim", [("secant", 3), ("newton", 6)])
+    def test_sign_minus_one_probe_calls_stop(self, root_finder, dim):
+        seen = []
+        control = StepControl(stop=lambda eta, y: seen.append((eta, len(y))))
+        evaluate_gamma_at(2.5, ItmConfig(root_finder=root_finder, step_control=control))
+        assert seen and all(size == dim for _, size in seen)
+        assert seen[-1][0] == 10.0
+
+    def test_stop_sees_only_uncertified_samples(self):
+        seen = []
+        control = StepControl(stop=lambda eta, y: seen.append(eta))
+        with pytest.raises(DegenerateFarFieldError) as err:
+            evaluate_gamma_at(0.5, ItmConfig(step_control=control))
+        assert seen and max(seen) < err.value.eta
+
+    def test_stop_ends_the_solve(self):
+        def stop(eta, y):
+            if eta > 5.0:
+                raise IntegrationError("caller stop", eta)
+
+        with pytest.raises(IntegrationError, match="^caller stop$"):
+            solve_sakiadis(ItmConfig(step_control=StepControl(stop=stop)))
+
+
 class TestRescaledSolution:
     def test_boundary_conditions(self):
         res = solve_sakiadis()
