@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sak = subs.add_parser("sakiadis", help="moving-plate flow via the "
                           "iterative transformation method")
-    sak.add_argument("--root-finder", choices=(SECANT, NEWTON), default=SECANT)
+    sak.add_argument("--root-finder", choices=(SECANT, NEWTON), default=SECANT,
+                     help="root-finder on Gamma(h*) (default secant)")
     sak.add_argument("--h0", type=float, default=2.5, help="first seed (default 2.5)")
     sak.add_argument("--h1", type=float, default=3.5,
                      help="second secant seed (default 3.5; ignored by newton)")
@@ -110,14 +111,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     scn = subs.add_parser("scan", help="sweep the transformation function "
                           "over an h* grid")
-    scn.add_argument("--sign", type=int, choices=(1, -1), default=-1)
-    scn.add_argument("--h-min", type=float, default=0.5)
-    scn.add_argument("--h-max", type=float, default=20.0)
-    scn.add_argument("--count", type=int, default=40)
+    scn.add_argument("--sign", type=int, choices=(1, -1), default=-1,
+                     help="starred initial curvature (default -1)")
+    scn.add_argument("--h-min", type=float, default=0.5,
+                     help="lowest h* of the grid (default 0.5)")
+    scn.add_argument("--h-max", type=float, default=20.0,
+                     help="highest h* of the grid (default 20)")
+    scn.add_argument("--count", type=int, default=40,
+                     help="number of grid points (default 40)")
     scn.add_argument("--spacing", choices=("linear", "logarithmic"),
-                     default="linear")
+                     default="linear", help="grid spacing (default linear)")
     scn.add_argument("--eta-inf", type=float, default=10.0, dest="eta_inf_star",
-                     metavar="ETA_INF")
+                     metavar="ETA_INF", help="truncated boundary (default 10)")
     _add_common(scn)
 
     cmp_ = subs.add_parser("compare", help="wall shear of both flows and "

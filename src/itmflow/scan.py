@@ -112,7 +112,7 @@ def _verdict_of(samples, brackets) -> str:
 
 def scan(grid: ScanGrid, sign: int, eta_inf_star: float = 10.0,
          step_control: StepControl | None = None) -> ScanReport:
-    """Evaluate Gamma at every grid point and classify the sign changes.
+    """Probe Gamma over the grid from ``h_max`` down and classify the sign changes.
 
     Each probe integrates the starred IVP with initial curvature ``sign``
     to the truncated boundary ``eta_inf_star`` under ``step_control``
@@ -122,14 +122,26 @@ def scan(grid: ScanGrid, sign: int, eta_inf_star: float = 10.0,
     bracket touches a grid edge or contains a failed probe.  A probe fails by
     raising an :class:`IntegrationError`; a :class:`DegenerateFarFieldError`
     certifies Gamma = +inf there, and such a probe ends brackets like a
-    positive Gamma.  If no probe gives a Gamma value or a certificate,
+    positive Gamma.  On the sign -1 branch the certificate is monotone in
+    h*: for a = sqrt(h*) > b, the starred solutions F_a and F_b differ by
+    D = F_a - F_b with D(0) = 0, D'(0) = a - b and
+    D'' = exp(-int F_b / 2) - exp(-int F_a / 2) >= 0 while D >= 0, so
+    F_a' + a >= F_b' + b + 2 (a - b) at every eta and a certificate at a
+    is one at b.  Every grid point below a certified probe is therefore
+    recorded as certified without a march, and the caller's
+    ``step_control.stop`` runs on marched probes only.  An exception that
+    is not an :class:`IntegrationError` propagates from the highest probe
+    that raises it.  If no probe gives a Gamma value or a certificate,
     :class:`ScanFailedError` is raised.
     """
     config = ItmConfig(sign=sign, eta_inf_star=eta_inf_star,
                        step_control=StepControl() if step_control is None else step_control)
+    points = grid.points()
+    # Both lists run from h_max down until they are reversed below.
     samples = []
     signed = []  # (h*, Gamma) of every probe with a Gamma value or a certified +inf
-    for h in grid.points():
+    for i in range(len(points) - 1, -1, -1):
+        h = points[i]
         try:
             evaluation = evaluate_gamma_at(h, config)
             samples.append(ScanSample(h, evaluation.gamma, evaluation.lam, False))
@@ -138,6 +150,13 @@ def scan(grid: ScanGrid, sign: int, eta_inf_star: float = 10.0,
             samples.append(ScanSample(h, math.nan, math.nan, True))
             if isinstance(exc, DegenerateFarFieldError):
                 signed.append((h, math.inf))
+                if config.sign == -1:  # every lower grid point is certified too
+                    below = points[:i][::-1]
+                    samples += [ScanSample(b, math.nan, math.nan, True) for b in below]
+                    signed += [(b, math.inf) for b in below]
+                    break
+    samples.reverse()
+    signed.reverse()
     if not signed:
         raise ScanFailedError(
             f"every probe failed on [{grid.h_min:.6g}, {grid.h_max:.6g}] with sign {sign:+g}"

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, formats, stable machine output."""
 
+import argparse
 import csv
 import json
 import sys
@@ -319,6 +320,21 @@ class TestOutputFile:
         assert code == 1
         assert out == ""
         assert err.startswith(f"itmflow: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("subcommand", ["sakiadis", "blasius", "scan", "compare"])
+def test_every_option_prints_help_with_its_default(capsys, subcommand):
+    with pytest.raises(SystemExit) as exit_:
+        main([subcommand, "--help"])
+    assert exit_.value.code == 0
+    printed = " ".join(capsys.readouterr().out.split())
+    sub = next(action for action in itmflow.cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)).choices[subcommand]
+    for action in sub._actions:
+        assert action.help, action.option_strings
+        assert " ".join(action.help.split()) in printed, action.option_strings
+        if action.default not in (None, False, argparse.SUPPRESS):
+            assert "(default " in action.help, action.option_strings
 
 
 # golden file stem: (subcommand and flags, exit code); every format is frozen

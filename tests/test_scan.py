@@ -8,8 +8,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from itmflow import (IntegrationError, ItmConfig, ScanFailedError, ScanGrid,
-                     StepControl, StepLimitError, evaluate_gamma_at, scan, solve_sakiadis)
+from itmflow import (DegenerateFarFieldError, IntegrationError, ItmConfig, ScanFailedError,
+                     ScanGrid, ScanReport, ScanSample, StepControl, StepLimitError,
+                     evaluate_gamma_at, integrate_adaptive, scan, solve_sakiadis)
+from itmflow.scan import _brackets_of, _verdict_of
 
 DEFAULT_GRID = ScanGrid(h_min=0.5, h_max=20.0, count=40)
 
@@ -205,6 +207,87 @@ class TestVerdicts:
         report = scan(ScanGrid(2.5, 3.0, 2), -1)
         assert len(report.brackets) == 1
         assert report.verdict == "inconclusive"
+
+
+def every_point_scan(grid, sign, eta_inf_star=10.0, step_control=None):
+    """Reference scan: every grid point is probed in grid order, and the
+    brackets and verdict are read off the samples."""
+    config = ItmConfig(sign=sign, eta_inf_star=eta_inf_star,
+                       step_control=StepControl() if step_control is None else step_control)
+    samples, signed = [], []
+    for h in grid.points():
+        try:
+            evaluation = evaluate_gamma_at(h, config)
+            samples.append(ScanSample(h, evaluation.gamma, evaluation.lam, False))
+            signed.append((h, evaluation.gamma))
+        except IntegrationError as exc:
+            samples.append(ScanSample(h, math.nan, math.nan, True))
+            if isinstance(exc, DegenerateFarFieldError):
+                signed.append((h, math.inf))
+    if not signed:
+        raise ScanFailedError(
+            f"every probe failed on [{grid.h_min:.6g}, {grid.h_max:.6g}] with sign {sign:+g}")
+    brackets = _brackets_of(signed)
+    return ScanReport(samples, brackets, _verdict_of(samples, brackets))
+
+
+class TestCertificateSkip:
+    """A sign -1 certificate at h* certifies every lower h*, so scan marches no
+    grid point below its highest certified probe and reports what marching
+    every point would."""
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
+    @pytest.mark.parametrize("eta_inf_star", [6.0, 10.0, 15.0, 20.0])
+    @pytest.mark.parametrize("tol", [None, 1e-8])
+    def test_report_equals_every_point_scan(self, sign, spacing, eta_inf_star, tol):
+        rng = random.Random(f"{sign} {spacing} {eta_inf_star} {tol}")
+        # Grids across the failure threshold, then wholly below it.
+        grids = [ScanGrid(rng.uniform(0.3, 2.0), rng.uniform(2.5, 30.0),
+                          rng.randint(2, 40), spacing) for _ in range(2)]
+        grids += [ScanGrid(0.3, 1.5, rng.randint(2, 12), spacing), ScanGrid(1.0, 3.0, 40, spacing)]
+        control = None if tol is None else StepControl(abs_tol=tol, rel_tol=tol)
+        for grid in grids:
+            expected = every_point_scan(grid, sign, eta_inf_star, control)
+            assert repr(scan(grid, sign, eta_inf_star, control)) == repr(expected), grid
+
+    def test_marches_only_down_to_the_first_certificate(self, monkeypatch):
+        marched = []
+
+        def counting(spec, control=None):
+            marched.append(spec.initial_state[1] ** 2)
+            return integrate_adaptive(spec, control)
+
+        monkeypatch.setattr(sys.modules["itmflow.solver"], "integrate_adaptive", counting)
+        report = scan(ScanGrid(0.5, 3.5, 7), -1)
+        assert marched == pytest.approx([3.5, 3.0, 2.5, 2.0])
+        assert [s.failed for s in report.samples] == [True] * 4 + [False] * 3
+        assert report.brackets == [(2.5, 3.0)]
+
+    @pytest.mark.parametrize("sign, error", [(-1, StepLimitError), (1, DegenerateFarFieldError)])
+    def test_other_failures_skip_nothing(self, monkeypatch, sign, error):
+        # An uncertified failure says nothing about lower h*, nor does a sign +1
+        # far-field failure: the monotone certificate holds on sign -1 only.
+        probed = []
+
+        def failing_at_top(h, config):
+            probed.append(h)
+            if h == 3.5:
+                raise error("injected", h)
+            return evaluate_gamma_at(h, config)
+
+        monkeypatch.setattr(sys.modules["itmflow.scan"], "evaluate_gamma_at", failing_at_top)
+        report = scan(ScanGrid(2.5, 3.5, 5), sign)
+        assert probed == [3.5, 3.25, 3.0, 2.75, 2.5]
+        assert [s.failed for s in report.samples] == [False] * 4 + [True]
+
+    def test_other_exception_comes_from_the_highest_probe(self, monkeypatch):
+        def raising(h, config):
+            raise RuntimeError(h)
+
+        monkeypatch.setattr(sys.modules["itmflow.scan"], "evaluate_gamma_at", raising)
+        with pytest.raises(RuntimeError, match=r"^3\.5$"):
+            scan(ScanGrid(2.5, 3.5, 5), -1)
 
 
 class TestBracketQuality:
