@@ -69,15 +69,26 @@ class Record:
     def __init_subclass__(cls):
         fields = tuple(cls.__dict__.get("__annotations__", {}))
         params = "".join(f", {f}=cls.{f}" if f in cls.__dict__ else f", {f}" for f in fields)
-        source = (f"def make(cls, _set):\n    def __init__(self{params}):\n"
-                  + "".join(f"        _set(self, {f!r}, {f})\n" for f in fields)
+        source = (f"def make(cls):\n    def __init__(self{params}):\n        d = self.__dict__\n"
+                  + "".join(f"        d[{f!r}] = {f}\n" for f in fields)
                   + ("        self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
                   + "    return __init__\n")
-        init = _compile(source, f"<itmflow.ode record {cls.__qualname__}>", "make")(
-            cls, object.__setattr__)
+        init = _compile(source, f"<itmflow.ode record {cls.__qualname__}>", "make")(cls)
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = init
         cls.__match_args__ = fields
+
+    @classmethod
+    def _unchecked(cls, fields):
+        """The record whose fields are ``fields``, a dict giving every field a checked value.
+
+        ``__post_init__`` does not run: the package builds such records from
+        values it has already checked, as :meth:`Trajectory._from_rows` takes
+        rows it made.
+        """
+        record = cls.__new__(cls)
+        record.__dict__.update(fields)
+        return record
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__match_args__])
@@ -511,14 +522,16 @@ def integrate_adaptive(spec: IvpSpec, control: StepControl | None = None) -> Tra
     """
     control = StepControl() if control is None else control
     rhs, start, end, y = spec.system.rhs, spec.start, spec.end, spec.initial_state
+    text = getattr(spec.system, "_text", None)
     max_step = (end - start) / 4.0 if control.max_step is None else control.max_step
     k = rhs(start, list(y))
-    shape = _shape(k)
-    if shape != (len(y),):
-        raise ValueError(f"rhs returned shape {shape}, system dimension is {len(y)}")
+    if text is None:  # a system written as text returns its dim floats by construction
+        shape = _shape(k)
+        if shape != (len(y),):
+            raise ValueError(f"rhs returned shape {shape}, system dimension is {len(y)}")
     if not _finite(k):
         raise _blow_up(start)
-    march = _march(len(y), getattr(spec.system, "_text", None))
+    march = _march(len(y), text)
     rows = march(rhs, start, end, min(control.initial_step, end - start, max_step), y, k,
                  control.abs_tol, control.rel_tol, control.min_step, max_step,
                  control.max_steps, control.stop)

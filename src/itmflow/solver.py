@@ -149,8 +149,11 @@ def _evaluate(h_star, config):
             if stop is not None:
                 stop(eta, y)
 
-        control = StepControl(**{**vars(control), "stop": certify})
-    traj = integrate_adaptive(IvpSpec(0.0, config.eta_inf_star, initial, system), control)
+        control = StepControl._unchecked({**vars(control), "stop": certify})
+    # ItmConfig, StepControl and the start functions have checked every value.
+    spec = IvpSpec._unchecked({"start": 0.0, "end": float(config.eta_inf_star),
+                               "initial_state": initial, "system": system})
+    traj = integrate_adaptive(spec, control)
     far = traj.final_state
     return GammaEvaluation.from_far_field(h_star, far[1], far[4] if newton else None), traj
 

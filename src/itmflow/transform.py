@@ -58,8 +58,7 @@ class GammaEvaluation(Record):
             t = lam * lam
             inner = 1.0 - 2.0 * (far_slope_sensitivity + 0.5 / math.sqrt(h_star)) * h_star / t
             deriv = inner / (t * t)
-        return cls(h_star=float(h_star), far_slope=float(far_slope),
-                   lam=lam, gamma=value, dgamma_dh=deriv)
+        return cls(float(h_star), float(far_slope), lam, value, deriv)
 
 
 def rescale_trajectory(lam: float, star_traj: Trajectory) -> Trajectory:

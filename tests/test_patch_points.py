@@ -9,7 +9,8 @@ import pytest
 
 import itmflow
 import itmflow.cli
-from itmflow import ScanGrid, scan, solve_blasius_topfer
+from itmflow import (DegenerateFarFieldError, ItmConfig, IvpSpec, OdeSystem, ScanGrid,
+                     evaluate_gamma_at, scan, solve_blasius_topfer)
 from itmflow.cli import main
 
 
@@ -53,3 +54,48 @@ def test_patched_name_is_called(target, monkeypatch, capsys):
         monkeypatch.setattr(module, attr, recording(getattr(module, attr)))
     CASES[target]()
     assert calls
+
+
+def _rhs_called(monkeypatch):
+    """Make every probe march call its rhs, as the tracer's ``integrate_adaptive`` does.
+
+    The tracer rebuilds each spec around an ``OdeSystem`` of the system's rhs,
+    which has no text, and passes ``control`` through.
+    """
+    integrate = itmflow.solver.integrate_adaptive
+
+    def called(spec, control=None):
+        system = OdeSystem(rhs=spec.system.rhs, dim=spec.system.dim)
+        return integrate(IvpSpec(spec.start, spec.end, spec.initial_state, system), control)
+
+    monkeypatch.setattr(itmflow.solver, "integrate_adaptive", called)
+
+
+PROBE_CONFIGS = {
+    "secant-1": ItmConfig(),
+    "secant+1": ItmConfig(sign=1),
+    "newton": ItmConfig(root_finder="newton"),
+}
+
+
+@pytest.mark.parametrize("h_star", [2.5, 3.5, 10.0])
+@pytest.mark.parametrize("config", PROBE_CONFIGS.values(), ids=PROBE_CONFIGS)
+def test_probe_through_a_called_rhs_is_equal(config, h_star, monkeypatch):
+    inline = evaluate_gamma_at(h_star, config)
+    _rhs_called(monkeypatch)
+    assert evaluate_gamma_at(h_star, config) == inline
+
+
+def _certificate(config):
+    """The message and eta of the certificate of the sign -1 probe at h* = 1."""
+    with pytest.raises(DegenerateFarFieldError) as err:
+        evaluate_gamma_at(1.0, config)
+    return str(err.value), err.value.eta
+
+
+@pytest.mark.parametrize("root_finder", ["secant", "newton"])
+def test_certificate_through_a_called_rhs_is_equal(root_finder, monkeypatch):
+    config = ItmConfig(root_finder=root_finder)
+    inline = _certificate(config)
+    _rhs_called(monkeypatch)
+    assert _certificate(config) == inline

@@ -65,6 +65,10 @@ def test_equality_and_hash():
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
 def test_frozen_records_refuse_assignment(record):
+    _assert_refuses_assignment(record)
+
+
+def _assert_refuses_assignment(record):
     field = type(record).__match_args__[0]
     value = getattr(record, field)
     with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
@@ -83,6 +87,17 @@ def test_hash(record):
             hash(record)
     else:
         assert hash(record) == hash(tuple(getattr(record, f) for f in type(record).__match_args__))
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_unchecked_record_is_the_checked_one(record):
+    cls = type(record)
+    built = cls._unchecked({f: getattr(record, f) for f in cls.__match_args__})
+    assert type(built) is cls and built is not record
+    assert built == record and repr(built) == repr(record)
+    if cls.__name__ not in UNHASHABLE:
+        assert hash(built) == hash(record)
+    _assert_refuses_assignment(built)
 
 
 def test_match_args():

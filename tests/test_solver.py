@@ -8,7 +8,7 @@ import pytest
 
 import itmflow.solver as solver_mod
 from itmflow import (DegenerateFarFieldError, GammaEvaluation, IntegrationError,
-                     ItmConfig, RootFinderBreakdownError, ScanGrid,
+                     ItmConfig, IvpSpec, RootFinderBreakdownError, ScanGrid,
                      StepControl, TopferAgreementError, Trajectory,
                      evaluate_gamma_at, scan, solve_blasius_topfer, solve_sakiadis)
 
@@ -309,6 +309,37 @@ class TestCallerStop:
 
         with pytest.raises(IntegrationError, match="^caller stop$"):
             solve_sakiadis(ItmConfig(step_control=StepControl(stop=stop)))
+
+
+class TestProbeInputs:
+    """A probe builds its spec and step control unchecked; both equal the checked builds."""
+
+    @pytest.mark.parametrize("config", [
+        ItmConfig(eta_inf_star=10),
+        ItmConfig(eta_inf_star=15.0),
+        ItmConfig(root_finder="newton"),
+        ItmConfig(sign=1),
+        ItmConfig(step_control=StepControl(rel_tol=1e-8, stop=lambda eta, y: None)),
+    ], ids=["int eta_inf_star", "eta_inf_star 15", "newton", "sign +1", "caller stop"])
+    def test_probe_inputs_equal_the_checked_builds(self, config, monkeypatch):
+        handed = []
+        integrate = solver_mod.integrate_adaptive
+
+        def capture(spec, control=None):
+            handed.append((spec, control))
+            return integrate(spec, control)
+
+        monkeypatch.setattr(solver_mod, "integrate_adaptive", capture)
+        solve_sakiadis(config)
+        assert handed
+        for spec, control in handed:
+            assert repr(spec) == repr(IvpSpec(spec.start, spec.end, spec.initial_state,
+                                              spec.system))
+            assert control == StepControl(**vars(control))
+
+    def test_int_eta_inf_star_solves_as_its_float(self):
+        assert repr(solve_sakiadis(ItmConfig(eta_inf_star=10))) == repr(
+            solve_sakiadis(ItmConfig(eta_inf_star=10.0)))
 
 
 class TestRescaledSolution:
